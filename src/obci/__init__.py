@@ -52,6 +52,7 @@ from .limits import (
     WeightFunction,
     constant_sqrt12,
     critical_value,
+    critical_values,
     draw_limit_samples,
     kappa1,
     kappa2,

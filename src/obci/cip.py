@@ -26,6 +26,8 @@ from .limits import (
     critical_value,
     kappa1,
     kappa2,
+    limit_quantiles,
+    studentized_draws,
 )
 from .paths import DEFAULT_GRID
 from .series import BatchEstimates, BatchLayout, TimeSeriesData, batch_estimates, prefix_estimates
@@ -167,29 +169,35 @@ class CriticalValueSource(Protocol):
 
 @dataclass
 class MonteCarloCriticalValues:
-    """On-demand Monte Carlo critical values with an in-process cache."""
+    """On-demand Monte Carlo critical values with an in-process cache.
+
+    The cache holds one set of Studentized draws per (method, beta, b_inf)
+    cell, so another quantile level of a cached cell costs a quantile, not a
+    redraw.
+    """
 
     replications: int = DEFAULT_REPLICATIONS
     grid_count: int = DEFAULT_GRID
     master_seed: int = 20240601
     weight: WeightFunction | None = None
     workers: int = 1
-    _cache: dict = field(default_factory=dict, repr=False)
+    _draws: dict = field(default_factory=dict, repr=False)
 
     def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float:
-        key = (method, asym.beta, asym.b_inf, q)
-        if key not in self._cache:
-            self._cache[key] = critical_value(
-                method,
-                asym,
-                q,
+        if asym.beta == 0:
+            return critical_value(method, asym, q)
+        key = (method, asym.beta, asym.b_inf)
+        if key not in self._draws:
+            cell = (method, asym)
+            self._draws[key] = studentized_draws(
+                [cell],
                 replications=self.replications,
                 grid_count=self.grid_count,
                 master_seed=self.master_seed,
                 weight=self.weight,
                 workers=self.workers,
-            )
-        return self._cache[key]
+            )[cell]
+        return limit_quantiles(self._draws[key], [q])[0]
 
 
 @dataclass
@@ -263,7 +271,8 @@ def build_interval(
     critical value (small-batch procedures declare 0 and get normal
     quantiles); the bias constants always use the realized m/n.  One-sided
     intervals use the 1 - alpha critical value on the requested side and
-    leave the other endpoint infinite.
+    leave the other endpoint infinite.  Without ``cv_source``, critical
+    values are drawn with the same ``weight`` as the OB-III variance.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -283,7 +292,7 @@ def build_interval(
     else:
         variance = var_ob3(data, layout, estimator, weight)
     beta_cv = layout.beta_hat if beta_declared is None else beta_declared
-    cv_source = cv_source or MonteCarloCriticalValues()
+    cv_source = cv_source or MonteCarloCriticalValues(weight=weight)
     asym = BatchAsymptotics(beta=beta_cv, b_inf=b_inf_class if beta_cv > 0 else INFINITE)
     q = 1.0 - alpha / 2.0 if side == "two-sided" else 1.0 - alpha
     cv = cv_source.critical_value(method, asym, q)

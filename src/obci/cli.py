@@ -2,7 +2,8 @@
 
 Every run echoes its resolved configuration to stderr so results can be
 reproduced; data rows go to stdout.  Exit codes: 0 success, 2 usage, 3 data
-parse failure, 4 degenerate estimate, 5 degenerate interval.
+parse failure, 4 degenerate estimate, 5 degenerate interval, 6 out of memory
+(``ci``: the series and batch size need more memory than is available).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .limits import (
     BatchAsymptotics,
     CriticalValueEntry,
     CriticalValueTable,
-    critical_value,
+    critical_values,
     round_table_precision,
 )
 from .paths import DEFAULT_GRID
@@ -35,6 +36,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DEGENERATE_ESTIMATE = 4
 EXIT_DEGENERATE_INTERVAL = 5
+EXIT_OUT_OF_MEMORY = 6
 
 DEFAULT_MASTER_SEED = 20240601
 TABLE_DIR_ENV = "OBCI_TABLE_DIR"
@@ -67,24 +69,28 @@ def _run_critvals(args: argparse.Namespace) -> int:
     if not (methods and betas and b_infs and quantiles):
         print("critvals: empty method/beta/b_inf/quantile grid", file=sys.stderr)
         return EXIT_USAGE
+    unknown = [m for m in methods if m not in limits.METHODS]
+    if unknown:
+        print(f"critvals: unknown method {unknown[0]!r}", file=sys.stderr)
+        return EXIT_USAGE
+    cells = [
+        (method, BatchAsymptotics(beta=beta, b_inf=b_inf))
+        for method in methods
+        for beta in betas
+        for b_inf in b_infs
+    ]
+    values = critical_values(
+        cells, quantiles,
+        replications=args.reps, grid_count=args.grid,
+        master_seed=args.seed, workers=args.threads,
+    )
     table = CriticalValueTable()
-    for method in methods:
-        if method not in limits.METHODS:
-            print(f"critvals: unknown method {method!r}", file=sys.stderr)
-            return EXIT_USAGE
-        for beta in betas:
-            for b_inf in b_infs:
-                asym = BatchAsymptotics(beta=beta, b_inf=b_inf)
-                for q in quantiles:
-                    value = critical_value(
-                        method, asym, q,
-                        replications=args.reps, grid_count=args.grid,
-                        master_seed=args.seed, workers=args.threads,
-                    )
-                    table.add(CriticalValueEntry(
-                        method=method, beta=beta, b_inf=b_inf, q=q, value=value,
-                        replications=args.reps, grid=args.grid, seed=args.seed,
-                    ))
+    for method, asym in cells:
+        for q, value in zip(quantiles, values[(method, asym)]):
+            table.add(CriticalValueEntry(
+                method=method, beta=asym.beta, b_inf=asym.b_inf, q=q, value=value,
+                replications=args.reps, grid=args.grid, seed=args.seed,
+            ))
     table.validate()
     try:
         table.to_csv(args.out)
@@ -145,6 +151,10 @@ def _run_ci(args: argparse.Namespace) -> int:
     except DegenerateIntervalError as exc:
         print(f"ci: degenerate interval: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_INTERVAL
+    except MemoryError as exc:
+        print(f"ci: out of memory ({str(exc) or 'allocation failed'}); "
+              "try a smaller --m or a shorter series", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     print(result.csv_line())
     return EXIT_OK
 

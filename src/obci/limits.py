@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
@@ -38,6 +39,9 @@ __all__ = [
     "sample_obii_limit",
     "sample_obiii_limit",
     "draw_limit_samples",
+    "studentized_draws",
+    "limit_quantiles",
+    "critical_values",
     "critical_value",
     "CriticalValueEntry",
     "CriticalValueTable",
@@ -251,18 +255,19 @@ def _obiii_pair(
         s /= cpu
         half = (cpu - 1) / (2.0 * cpu)  # left-endpoint mean of v over the window
         if _is_infinite(b_inf):
-            count = m - cpu
-            area = weight.constant * (
-                s[:, cpu : cpu + count]
-                - s[:, :count]
-                - w[:, :count]
-                - half * (w[:, cpu : cpu + count] - w[:, :count])
-            )
+            lo, hi = slice(0, m - cpu), slice(cpu, m)
         else:
-            cs = _finite_starts(m - cpu, int(b_inf))
-            area = weight.constant * (
-                s[:, cs + cpu] - s[:, cs] - w[:, cs] - half * (w[:, cs + cpu] - w[:, cs])
-            )
+            lo = _finite_starts(m - cpu, int(b_inf))
+            hi = lo + cpu
+        # in place, so that the prefix sums and one window-sized temporary are
+        # the most ever alive beside the block: these blocks set peak memory
+        area = s[:, hi] - s[:, lo]
+        del s
+        area -= w[:, lo]
+        rise = w[:, hi] - w[:, lo]
+        rise *= half
+        area -= rise
+        area *= weight.constant
     else:
         fvals = np.asarray(weight.fn(np.arange(cpu) / cpu), dtype=float)
         fbar = fvals.mean()
@@ -298,19 +303,31 @@ def _evaluate_block(
     raise ValueError(f"unknown method {method!r}")
 
 
+Cell = tuple[str, BatchAsymptotics]
+
+
 def _draw_block(
-    method: str,
-    beta: float,
-    b_inf: float,
+    cells: Sequence[Cell],
+    horizon: int,
     grid_count: int,
     master_seed: int,
     stream_lo: int,
     rows: int,
     weight: WeightFunction | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    cells = _horizon_cells(method, beta, grid_count)
-    w = wiener_block(cells, 1.0 / grid_count, master_seed, stream_lo, rows)
-    return _evaluate_block(method, w, beta, b_inf, grid_count, weight)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw one block of ``horizon``-cell paths and evaluate every cell on it.
+
+    The evaluators only read the block, so the cells share it unchanged.
+    """
+    w = wiener_block(horizon, 1.0 / grid_count, master_seed, stream_lo, rows)
+    return [
+        _evaluate_block(method, w, asym.beta, asym.b_inf, grid_count, weight)
+        for method, asym in cells
+    ]
+
+
+def _draw_block_star(args):
+    return _draw_block(*args)
 
 
 def _require_large_batch(asym: BatchAsymptotics) -> None:
@@ -318,6 +335,49 @@ def _require_large_batch(asym: BatchAsymptotics) -> None:
         raise ValueError(
             "beta = 0 has a closed-form normal limit; use normal quantiles instead"
         )
+
+
+def _draw_cells(
+    cells: Sequence[Cell],
+    replications: int,
+    grid_count: int,
+    master_seed: int,
+    weight: WeightFunction | None,
+    workers: int,
+) -> dict[Cell, tuple[np.ndarray, np.ndarray]]:
+    """Joint (numerator, chi2) draws for every cell, one path set per horizon.
+
+    Cells whose paths have the same length (every ob1/ob2 cell, and ob3 cells
+    of equal beta) are evaluated on the same blocks: replication r of each
+    cell uses stream r, exactly as if the cell were drawn alone.
+    """
+    groups: dict[int, list[Cell]] = {}
+    for method, asym in dict.fromkeys(cells):
+        _require_large_batch(asym)
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        groups.setdefault(_horizon_cells(method, asym.beta, grid_count), []).append((method, asym))
+    tasks = []
+    for horizon, group in groups.items():
+        # block rows depend on the path length only, never on ``workers``
+        rows = max(16, min(4096, int(_BLOCK_BYTES / (8 * (horizon + 1)))))
+        tasks += [
+            (group, horizon, grid_count, master_seed, lo, min(rows, replications - lo), weight)
+            for lo in range(0, replications, rows)
+        ]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_draw_block_star, tasks))
+    else:
+        results = [_draw_block_star(t) for t in tasks]
+    parts: dict[Cell, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for task, pairs in zip(tasks, results):
+        for cell, pair in zip(task[0], pairs):
+            parts.setdefault(cell, []).append(pair)
+    return {
+        cell: (np.concatenate([p[0] for p in ps]), np.concatenate([p[1] for p in ps]))
+        for cell, ps in parts.items()
+    }
 
 
 def _single_sample(
@@ -336,8 +396,9 @@ def _single_sample(
     else:
         if seed is None:
             raise ValueError("either a seed or an explicit path is required")
-        num, chi = _draw_block(
-            method, asym.beta, asym.b_inf, grid_count, seed.master_seed, seed.stream_index, 1, weight
+        horizon = _horizon_cells(method, asym.beta, grid_count)
+        [(num, chi)] = _draw_block(
+            [(method, asym)], horizon, grid_count, seed.master_seed, seed.stream_index, 1, weight
         )
     return LimitSample(numerator=float(num[0]), chi2=float(chi[0]))
 
@@ -394,27 +455,109 @@ def draw_limit_samples(
     Work is split into fixed-size blocks whose composition does not depend on
     ``workers``, so results are bit-identical for any worker count.
     """
-    _require_large_batch(asym)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    cells = _horizon_cells(method, asym.beta, grid_count)
-    rows = max(16, min(4096, int(_BLOCK_BYTES / (8 * (cells + 1)))))
-    blocks = [
-        (method, asym.beta, asym.b_inf, grid_count, master_seed, lo, min(rows, replications - lo), weight)
-        for lo in range(0, replications, rows)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_draw_block_star, blocks))
-    else:
-        results = [_draw_block_star(b) for b in blocks]
-    nums = np.concatenate([r[0] for r in results])
-    chis = np.concatenate([r[1] for r in results])
-    return nums, chis
+    cell = (method, asym)
+    return _draw_cells([cell], replications, grid_count, master_seed, weight, workers)[cell]
 
 
-def _draw_block_star(args):
-    return _draw_block(*args)
+def _require_replications(replications: int) -> None:
+    if replications < 10_000:
+        raise ValueError("at least 10^4 replications are required for limit quantiles")
+
+
+def _studentize(
+    method: str,
+    asym: BatchAsymptotics,
+    nums: np.ndarray,
+    chis: np.ndarray,
+    replications: int,
+    grid_count: int,
+    master_seed: int,
+    weight: WeightFunction | None,
+) -> np.ndarray:
+    """``nums / sqrt(chis)`` after redrawing the zero chi-square draws of one cell.
+
+    Zero chi-square draws, possible under discretization though they have
+    probability zero at the limit, are rejected and redrawn from fresh
+    streams ``replications``, ``replications + 1``, ... with a logged count.
+    """
+    horizon = _horizon_cells(method, asym.beta, grid_count)
+    bad = np.flatnonzero(chis <= 0.0)
+    redraws = 0
+    next_stream = replications
+    while bad.size:
+        redraws += bad.size
+        [(fresh_n, fresh_c)] = _draw_block(
+            [(method, asym)], horizon, grid_count, master_seed, next_stream, bad.size, weight
+        )
+        next_stream += bad.size
+        nums[bad] = fresh_n
+        chis[bad] = fresh_c
+        bad = bad[fresh_c <= 0.0]
+    if redraws:
+        logger.warning("rejected and redrew %d zero chi-square draws", redraws)
+    return nums / np.sqrt(chis)
+
+
+def studentized_draws(
+    cells: Sequence[Cell],
+    replications: int = DEFAULT_REPLICATIONS,
+    grid_count: int = DEFAULT_GRID,
+    master_seed: int = 0,
+    weight: WeightFunction | None = None,
+    workers: int = 1,
+) -> dict[Cell, np.ndarray]:
+    """Draws of the Studentized limit ``numerator / sqrt(chi2)`` for each cell.
+
+    Cells are ``(method, BatchAsymptotics)`` pairs with beta > 0; cells on
+    the same path horizon share their paths.  Each cell's zero chi-square
+    draws are then redrawn on their own, from fresh streams.
+    """
+    _require_replications(replications)
+    draws = _draw_cells(cells, replications, grid_count, master_seed, weight, workers)
+    return {
+        (method, asym): _studentize(
+            method, asym, nums, chis, replications, grid_count, master_seed, weight
+        )
+        for (method, asym), (nums, chis) in draws.items()
+    }
+
+
+def _check_levels(qs: Sequence[float]) -> None:
+    if not all(0 < q < 1 for q in qs):
+        raise ValueError("quantile level must lie in (0, 1)")
+
+
+def limit_quantiles(t: np.ndarray, qs: Sequence[float]) -> tuple[float, ...]:
+    """Empirical (inverted-cdf) quantiles of Studentized draws at levels ``qs``."""
+    _check_levels(qs)
+    return tuple(float(v) for v in np.quantile(t, list(qs), method="inverted_cdf"))
+
+
+def critical_values(
+    cells: Sequence[Cell],
+    qs: Sequence[float],
+    replications: int = DEFAULT_REPLICATIONS,
+    grid_count: int = DEFAULT_GRID,
+    master_seed: int = 0,
+    weight: WeightFunction | None = None,
+    workers: int = 1,
+) -> dict[Cell, tuple[float, ...]]:
+    """Quantiles at every level of ``qs`` for every ``(method, BatchAsymptotics)`` cell.
+
+    Each cell's values are read from one set of Studentized draws, and cells
+    on the same path horizon share their paths (see :func:`studentized_draws`).
+    Small-batch cells (beta = 0) get standard normal quantiles.  The result
+    maps each cell to its values in the order of ``qs``; a cell's values equal
+    those of one :func:`critical_value` call per level.
+    """
+    qs = list(qs)
+    _check_levels(qs)
+    values = {cell: tuple(float(stats.norm.ppf(q)) for q in qs) for cell in cells if cell[1].beta == 0}
+    drawn = [cell for cell in cells if cell[1].beta != 0]
+    if drawn:
+        draws = studentized_draws(drawn, replications, grid_count, master_seed, weight, workers)
+        values.update((cell, limit_quantiles(t, qs)) for cell, t in draws.items())
+    return values
 
 
 def critical_value(
@@ -430,35 +573,18 @@ def critical_value(
     """q-quantile of the Studentized limit ``numerator / sqrt(chi2)``.
 
     Small-batch procedures (beta = 0) dispatch to the standard normal
-    quantile.  Zero chi-square draws, possible under discretization though
-    they have probability zero at the limit, are rejected and redrawn from
-    fresh streams with a logged count.  Deterministic given all inputs.
+    quantile.  Equal to the one-cell, one-level :func:`critical_values`.
+    It draws through :func:`draw_limit_samples`, keeping the
+    ``critical_value`` -> ``draw_limit_samples`` -> ``wiener_block`` call
+    chain that ``bench/spans.py`` traces.  Deterministic given all inputs.
     """
-    if not 0 < q < 1:
-        raise ValueError("quantile level must lie in (0, 1)")
+    _check_levels([q])
     if asym.beta == 0:
         return float(stats.norm.ppf(q))
-    if replications < 10_000:
-        raise ValueError("at least 10^4 replications are required for limit quantiles")
-    nums, chis = draw_limit_samples(
-        method, asym, replications, grid_count, master_seed, weight, workers
-    )
-    bad = np.flatnonzero(chis <= 0.0)
-    redraws = 0
-    next_stream = replications
-    while bad.size:
-        redraws += bad.size
-        fresh_n, fresh_c = _draw_block(
-            method, asym.beta, asym.b_inf, grid_count, master_seed, next_stream, bad.size, weight
-        )
-        next_stream += bad.size
-        nums[bad] = fresh_n
-        chis[bad] = fresh_c
-        bad = bad[fresh_c <= 0.0]
-    if redraws:
-        logger.warning("rejected and redrew %d zero chi-square draws", redraws)
-    t = nums / np.sqrt(chis)
-    return float(np.quantile(t, q, method="inverted_cdf"))
+    _require_replications(replications)
+    nums, chis = draw_limit_samples(method, asym, replications, grid_count, master_seed, weight, workers)
+    t = _studentize(method, asym, nums, chis, replications, grid_count, master_seed, weight)
+    return limit_quantiles(t, [q])[0]
 
 
 # ---------------------------------------------------------------------------

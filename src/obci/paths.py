@@ -106,10 +106,10 @@ def wiener_block(
         gen = SeedSpec(master_seed, stream_lo + r).generator()
         z[r, 0] = 0.0
         gen.standard_normal(grid_count, out=z[r, 1:])
-    w = np.cumsum(z, axis=1)
-    w *= math.sqrt(step)
-    w[:, 0] = 0.0
-    return w
+    # in place: a second rows x (grid_count + 1) buffer would double the block
+    np.cumsum(z, axis=1, out=z)
+    z *= math.sqrt(step)
+    return z
 
 
 def simulate_wiener(horizon: float, grid_count: int, seed: SeedSpec) -> WienerPath:

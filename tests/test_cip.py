@@ -21,7 +21,9 @@ from obci import (
     var_ob2,
     var_ob3,
 )
-from obci.cip import VarianceEstimate, assemble_interval
+from obci import cip
+from obci.cip import MonteCarloCriticalValues, VarianceEstimate, assemble_interval
+from obci.limits import BatchAsymptotics, WeightFunction, critical_value
 from obci.series import BatchEstimates
 
 from conftest import StubCriticalValues
@@ -193,6 +195,43 @@ def test_one_sided_intervals(stub_cv):
     assert upper.lower == -math.inf and upper.upper > upper.center
     with pytest.raises(ValueError):
         build_interval("ob1", data, 20, 4, 0.05, mean_estimator(), echo, side="sideways")
+
+
+def test_build_interval_default_source_gets_the_weight(monkeypatch):
+    # an f-weighted OB-III variance must be paired with f-weighted critical values
+    weight = WeightFunction(lambda v: math.sqrt(12.0) * np.ones_like(v), "flat-callable")
+    seen = []
+
+    def fake_draws(cells, replications, grid_count, master_seed, weight, workers):
+        seen.append(weight)
+        return {cell: np.linspace(-3.0, 3.0, 10_001) for cell in cells}
+
+    monkeypatch.setattr(cip, "studentized_draws", fake_draws)
+    data = TimeSeriesData(np.random.default_rng(15).standard_normal(200))
+    result = build_interval("ob3", data, 50, 10, 0.05, mean_estimator(), weight=weight)
+    assert seen == [weight]
+    assert result.critical_value_used == pytest.approx(2.85, abs=1e-3)
+
+
+def test_monte_carlo_source_draws_each_cell_once(monkeypatch):
+    calls = []
+    original = cip.studentized_draws
+
+    def counting(cells, **kwargs):
+        calls.append(list(cells))
+        return original(cells, **kwargs)
+
+    monkeypatch.setattr(cip, "studentized_draws", counting)
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=64, master_seed=16)
+    asym = BatchAsymptotics(0.25, INFINITE)
+    for q in (0.95, 0.975, 0.05, 0.95):
+        assert source.critical_value("ob2", asym, q) == critical_value(
+            "ob2", asym, q, replications=10_000, grid_count=64, master_seed=16
+        )
+    assert calls == [[("ob2", asym)]]
+    assert source.critical_value("ob2", BatchAsymptotics(0.0), 0.95) == stats.norm.ppf(0.95)
+    with pytest.raises(ValueError):
+        source.critical_value("ob2", asym, 1.5)
 
 
 def test_interval_csv_line_format():

@@ -3,11 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from obci import CriticalValueTable, SeedSpec
+from obci import CriticalValueTable, SeedSpec, cli
 from obci.cli import (
     EXIT_DEGENERATE_ESTIMATE,
     EXIT_DEGENERATE_INTERVAL,
     EXIT_OK,
+    EXIT_OUT_OF_MEMORY,
     EXIT_PARSE,
     EXIT_USAGE,
     main,
@@ -114,6 +115,39 @@ def test_ci_exit_codes(tmp_path):
         "ci", "--method", "ob1", "--m", "15", "--d", "5",
         "--estimator", "mean", "--data", str(tmp_path / "missing.txt"),
     ]) == EXIT_PARSE
+
+
+def test_ci_out_of_memory_exit(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_interval", exhausted)
+    data_file = tmp_path / "data.txt"
+    _write_normal_data(data_file, n=100)
+    capsys.readouterr()
+    code = main([
+        "ci", "--method", "ob1", "--m", "25", "--d", "1", "--estimator", "quantile:0.9",
+        "--data", str(data_file),
+    ])
+    assert code == EXIT_OUT_OF_MEMORY
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("# config:")] == [
+        "ci: out of memory (Unable to allocate 14.0 GiB for an array); "
+        "try a smaller --m or a shorter series"
+    ]
+
+
+def test_critvals_unknown_method_draws_nothing(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("no critical value should be drawn")
+
+    monkeypatch.setattr(cli, "critical_values", fail)
+    code = main([
+        "critvals", "--methods", "ob1,ob9", "--betas", "0.25", "--quantiles", "0.95",
+        "--out", str(tmp_path / "t.csv"),
+    ])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_ci_ss_method(tmp_path, capsys):

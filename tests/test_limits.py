@@ -16,6 +16,7 @@ from obci import (
     WienerPath,
     constant_sqrt12,
     critical_value,
+    critical_values,
     draw_limit_samples,
     kappa1,
     kappa2,
@@ -26,6 +27,8 @@ from obci import (
     sample_obiii_limit,
     weighting_condition_estimate,
 )
+from obci import limits
+from obci.limits import WeightFunction, _obi_pair, _obii_pair, _obiii_pair
 
 
 def test_kappa1_examples():
@@ -135,6 +138,86 @@ def test_critical_value_monotone_in_q():
 def test_critical_value_requires_enough_replications():
     with pytest.raises(ValueError):
         critical_value("ob1", BatchAsymptotics(0.25), 0.95, replications=100)
+
+
+# ob1/ob2 at two betas and ob3 at one beta, each with infinite and finite b_inf
+MIXED_CELLS = [
+    (method, BatchAsymptotics(beta, b_inf))
+    for method, beta in (("ob1", 0.2), ("ob1", 0.25), ("ob2", 0.2), ("ob2", 0.25), ("ob3", 0.5))
+    for b_inf in (INFINITE, 10)
+]
+MIXED_QS = (0.05, 0.9, 0.975)
+
+
+def test_critical_values_match_per_level_critical_value():
+    values = critical_values(MIXED_CELLS, MIXED_QS, 10_000, 128, 41)
+    assert list(values) == MIXED_CELLS
+    for method, asym in MIXED_CELLS:
+        expected = tuple(
+            critical_value(method, asym, q, 10_000, 128, 41) for q in MIXED_QS
+        )
+        assert values[(method, asym)] == expected
+
+
+def test_critical_values_identical_across_worker_counts():
+    cells = [MIXED_CELLS[0], MIXED_CELLS[3], MIXED_CELLS[-1]]
+    one = critical_values(cells, MIXED_QS, 10_000, 64, 42, workers=1)
+    two = critical_values(cells, MIXED_QS, 10_000, 64, 42, workers=2)
+    assert one == two
+
+
+def test_critical_values_small_batch_and_level_checks():
+    asym = BatchAsymptotics(beta=0.0)
+    values = critical_values([("ob1", asym)], [0.95, 0.975])
+    assert values[("ob1", asym)] == (stats.norm.ppf(0.95), stats.norm.ppf(0.975))
+    with pytest.raises(ValueError):
+        critical_values([("ob1", asym)], [0.95, 1.0])
+
+
+def test_critical_values_redraws_zero_chi2_per_cell(monkeypatch, caplog):
+    # force chi2 = 0 wherever the OB-I numerator exceeds 1, so about 16% of
+    # the OB-I draws, and some of their redraws, go through the redraw loop
+    original = limits._evaluate_block
+
+    def zero_large(method, w, beta, b_inf, grid_count, weight):
+        num, chi = original(method, w, beta, b_inf, grid_count, weight)
+        if method == "ob1":
+            chi = np.where(num > 1.0, 0.0, chi)
+        return num, chi
+
+    grid, seed, reps = 64, 43, 10_000
+    asym = BatchAsymptotics(0.25, INFINITE)
+    ob1, ob2 = ("ob1", asym), ("ob2", asym)
+    plain_ob2 = limits.studentized_draws([ob2], reps, grid, seed)[ob2]
+    monkeypatch.setattr(limits, "_evaluate_block", zero_large)
+    nums, chis = draw_limit_samples("ob1", asym, reps, grid, seed)
+    bad = np.flatnonzero(chis <= 0.0)
+    assert bad.size > 1000
+    with caplog.at_level("WARNING", logger="obci.limits"):
+        draws = limits.studentized_draws([ob1, ob2], reps, grid, seed)
+    assert np.all(np.isfinite(draws[ob1]))
+    # the first rejected row takes the first fresh stream, number `reps`
+    fresh = sample_obi_limit(asym, SeedSpec(seed, reps), grid_count=grid)
+    assert fresh.chi2 > 0
+    assert draws[ob1][bad[0]] == fresh.numerator / math.sqrt(fresh.chi2)
+    kept = np.setdiff1d(np.arange(reps), bad)
+    assert np.array_equal(draws[ob1][kept], nums[kept] / np.sqrt(chis[kept]))
+    assert np.array_equal(draws[ob2], plain_ob2)
+    counts = [int(r.getMessage().split()[3]) for r in caplog.records if "redrew" in r.getMessage()]
+    assert len(counts) == 1 and counts[0] > bad.size
+
+
+@pytest.mark.parametrize("b_inf", [INFINITE, 10])
+def test_evaluators_leave_the_shared_block_unchanged(b_inf):
+    grid = 64
+    w = limits.wiener_block(2 * grid, 1.0 / grid, 44, 0, 8)
+    before = w.copy()
+    w.setflags(write=False)  # any in-place write would raise
+    _obi_pair(w[:, : grid + 1], 0.25, b_inf)
+    _obii_pair(w[:, : grid + 1], 0.25, b_inf)
+    _obiii_pair(w, 0.5, b_inf, grid, constant_sqrt12())
+    _obiii_pair(w, 0.5, b_inf, grid, WeightFunction(lambda v: 1.0 + v, "linear"))
+    assert np.array_equal(w, before)
 
 
 def test_weighting_condition_constant_weight():

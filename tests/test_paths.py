@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -74,6 +76,19 @@ def test_block_rows_match_single_streams():
     for r in range(3):
         single = simulate_wiener(1.0, 32, SeedSpec(99, 5 + r))
         assert np.array_equal(block[r], single.values)
+
+
+@pytest.mark.parametrize("cells", [1, 256, 4096])
+def test_block_matches_out_of_place_cumsum(cells):
+    # the block is summed in place; it must equal np.cumsum of the same normals
+    rows, seed, lo = 3, 2024, 17
+    z = np.zeros((rows, cells + 1))
+    for r in range(rows):
+        z[r, 1:] = SeedSpec(seed, lo + r).generator().standard_normal(cells)
+    expected = np.cumsum(z, axis=1)
+    expected *= math.sqrt(1.0 / cells)
+    block = wiener_block(cells, 1.0 / cells, seed, lo, rows)
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.slow
