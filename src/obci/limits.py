@@ -64,6 +64,8 @@ LABEL_METHODS = {v: k for k, v in METHOD_LABELS.items()}
 
 # Memory budget per Wiener block; rows adapt to the path length.
 _BLOCK_BYTES = 1.6e8
+# Row chunk of a block that an evaluator works on at once (fits in L2 cache).
+_CHUNK_BYTES = 1 << 20
 
 
 def _is_infinite(b_inf: float) -> bool:
@@ -249,25 +251,33 @@ def _obiii_pair(
     num = math.sqrt(cpu / m) * w[:, m]
     if weight.constant is not None:
         # integral of f * B_u over a unit window, via prefix sums of the path
-        s = np.empty_like(w)
-        s[:, 0] = 0.0
-        np.cumsum(w[:, :-1], axis=1, out=s[:, 1:])
-        s /= cpu
         half = (cpu - 1) / (2.0 * cpu)  # left-endpoint mean of v over the window
         if _is_infinite(b_inf):
             lo, hi = slice(0, m - cpu), slice(cpu, m)
+            area = np.empty((w.shape[0], m - cpu))
         else:
             lo = _finite_starts(m - cpu, int(b_inf))
             hi = lo + cpu
-        # in place, so that the prefix sums and one window-sized temporary are
-        # the most ever alive beside the block: these blocks set peak memory
-        area = s[:, hi] - s[:, lo]
-        del s
-        area -= w[:, lo]
-        rise = w[:, hi] - w[:, lo]
-        rise *= half
-        area -= rise
-        area *= weight.constant
+            # column-major, as indexing ``s[:, hi]`` would give: the row sums
+            # of squares below depend on the memory order, not only the values
+            area = np.empty((w.shape[0], lo.size), order="F")
+        # a few rows at a time, so that the prefix sums and temporaries stay
+        # in cache; every step is elementwise or along a row, so the values
+        # do not depend on the chunking
+        step = max(1, _CHUNK_BYTES // (8 * (m + 1)))
+        for r in range(0, w.shape[0], step):
+            wr = w[r : r + step]
+            s = np.empty_like(wr)
+            s[:, 0] = 0.0
+            np.cumsum(wr[:, :-1], axis=1, out=s[:, 1:])
+            s /= cpu
+            a = area[r : r + step]
+            np.subtract(s[:, hi], s[:, lo], out=a)
+            a -= wr[:, lo]
+            rise = wr[:, hi] - wr[:, lo]
+            rise *= half
+            a -= rise
+            a *= weight.constant
     else:
         fvals = np.asarray(weight.fn(np.arange(cpu) / cpu), dtype=float)
         fbar = fvals.mean()

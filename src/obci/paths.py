@@ -43,12 +43,15 @@ class SeedSpec:
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 
-    def generator(self) -> np.random.Generator:
-        key = np.array(
+    def key(self) -> np.ndarray:
+        """The Philox key of the stream; its counter starts at zero."""
+        return np.array(
             [self.master_seed % (1 << 64), self.stream_index % (1 << 64)],
             dtype=np.uint64,
         )
-        return np.random.Generator(np.random.Philox(key=key))
+
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,16 @@ def wiener_block(
     path values on the grid with spacing ``step``.
     """
     z = np.empty((rows, grid_count + 1), dtype=dtype)
+    z[:, 0] = 0.0
+    # one bit generator, rekeyed per row: the same streams as a fresh
+    # generator per row, without constructing one for each
+    bits = np.random.Philox(key=SeedSpec(master_seed, stream_lo).key())
+    gen = np.random.Generator(bits)
+    fresh = bits.state
     for r in range(rows):
-        gen = SeedSpec(master_seed, stream_lo + r).generator()
-        z[r, 0] = 0.0
+        if r:
+            fresh["state"]["key"] = SeedSpec(master_seed, stream_lo + r).key()
+            bits.state = fresh
         gen.standard_normal(grid_count, out=z[r, 1:])
     # in place: a second rows x (grid_count + 1) buffer would double the block
     np.cumsum(z, axis=1, out=z)

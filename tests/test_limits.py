@@ -220,6 +220,17 @@ def test_evaluators_leave_the_shared_block_unchanged(b_inf):
     assert np.array_equal(w, before)
 
 
+@pytest.mark.parametrize("b_inf", [INFINITE, 10])
+def test_obiii_values_do_not_depend_on_row_chunking(monkeypatch, b_inf):
+    grid = 64
+    w = limits.wiener_block(2 * grid, 1.0 / grid, 45, 0, 9)
+    whole = _obiii_pair(w, 0.5, b_inf, grid, constant_sqrt12())
+    monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)  # one row at a time
+    by_row = _obiii_pair(w, 0.5, b_inf, grid, constant_sqrt12())
+    assert np.array_equal(whole[0], by_row[0])
+    assert np.array_equal(whole[1], by_row[1])
+
+
 def test_weighting_condition_constant_weight():
     est = weighting_condition_estimate(constant_sqrt12(), replications=20_000, grid_count=512)
     assert 0.97 <= est <= 1.03
