@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DegenerateIntervalError
-from .functionals import FunctionalEstimator, _Mean
+from .functionals import FunctionalEstimator
 from .limits import (
     DEFAULT_REPLICATIONS,
     INFINITE,
@@ -106,18 +106,17 @@ def var_ob3(
     """
     weight = weight or constant_sqrt12()
     m = layout.m
-    if isinstance(est, _Mean) and weight.constant is not None:
-        # prefix sums collapse the double loop: j*(mean of first j) is a
-        # cumulative-sum difference, so each batch area term is O(1)
-        x = data.values
-        c = np.concatenate(([0.0], np.cumsum(x)))
+    if getattr(est, "window_mean", False) and weight.constant is not None:
+        # prefix sums collapse the double loop: j * (estimate on the first j)
+        # is a cumulative-sum difference over div, so each batch area term is O(1)
+        c = np.concatenate(([0.0], np.cumsum(est.num(data.values))))
         cc = np.concatenate(([0.0], np.cumsum(c[1:])))
         s = layout.starts
         # sum_j (C[s+j] - C[s]) for j = 1..m
         inner = cc[s + m] - cc[s] - m * c[s]
         batch_mean = (c[s + m] - c[s]) / m
         jsum = m * (m + 1) / 2.0
-        terms = weight.constant * (inner - batch_mean * jsum) / (m * math.sqrt(m))
+        terms = weight.constant * (inner - batch_mean * jsum) / (m * math.sqrt(m) * est.div)
         value = float(terms @ terms) / layout.b
         return VarianceEstimate(value=value, method="ob3", kappa_used=1.0)
     j = np.arange(1, m + 1)
@@ -130,6 +129,18 @@ def var_ob3(
         area = float(np.sum(fvals * j * dev)) / (m * math.sqrt(m))
         total += area * area
     return VarianceEstimate(value=total / layout.b, method="ob3", kappa_used=1.0)
+
+
+def _estimate_variance(
+    method: str, data: TimeSeriesData, layout: BatchLayout, est: FunctionalEstimator,
+    estimates: BatchEstimates, weight: WeightFunction | None,
+) -> VarianceEstimate:
+    """The ``method`` variance estimate; OB-II classifies ``b_inf`` from the layout."""
+    if method == "ob1":
+        return var_ob1(estimates, layout)
+    if method == "ob2":
+        return var_ob2(estimates, layout)
+    return var_ob3(data, layout, est, weight)
 
 
 @dataclass(frozen=True)
@@ -284,13 +295,8 @@ def build_interval(
 
     layout = make_layout(data.n, m, d)
     estimates = batch_estimates(data, layout, estimator)
+    variance = _estimate_variance(method, data, layout, estimator, estimates, weight)
     b_inf_class = classify_b_inf(layout)
-    if method == "ob1":
-        variance = var_ob1(estimates, layout)
-    elif method == "ob2":
-        variance = var_ob2(estimates, layout, b_inf_class)
-    else:
-        variance = var_ob3(data, layout, estimator, weight)
     beta_cv = layout.beta_hat if beta_declared is None else beta_declared
     cv_source = cv_source or MonteCarloCriticalValues(weight=weight)
     asym = BatchAsymptotics(beta=beta_cv, b_inf=b_inf_class if beta_cv > 0 else INFINITE)

@@ -1,9 +1,13 @@
 """Command-line front end: critical-value tables, single intervals, coverage runs.
 
 Every run echoes its resolved configuration to stderr so results can be
-reproduced; data rows go to stdout.  Exit codes: 0 success, 2 usage, 3 data
-parse failure, 4 degenerate estimate, 5 degenerate interval, 6 out of memory
-(``ci``: the series and batch size need more memory than is available).
+reproduced; data rows go to stdout.  Exit codes: 0 success, 2 usage (also an
+out-of-range argument value, such as a level outside (0, 1) or a batch size
+the series cannot hold), 3 unreadable or malformed data or table file (also
+a table with no entry for the requested method, b_inf and level), 4
+degenerate estimate, 5 degenerate interval, 6 out of memory (``ci``: the
+series and batch size need more memory than is available).  Every nonzero
+exit prints a message to stderr, not a traceback.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def _parse_b_inf(text: str) -> float:
         return INFINITE
     value = int(text)
     if value < 2:
-        raise argparse.ArgumentTypeError("finite b_inf must be >= 2")
+        raise ValueError("finite b_inf must be >= 2")
     return float(value)
 
 
@@ -62,28 +66,30 @@ def _csv_floats(text: str) -> list[float]:
 
 def _run_critvals(args: argparse.Namespace) -> int:
     _echo(args)
-    methods = [m for m in args.methods.split(",") if m]
-    betas = _csv_floats(args.betas)
-    b_infs = [_parse_b_inf(x) for x in args.b_inf.split(",") if x]
-    quantiles = _csv_floats(args.quantiles)
-    if not (methods and betas and b_infs and quantiles):
-        print("critvals: empty method/beta/b_inf/quantile grid", file=sys.stderr)
+    try:
+        methods = [m for m in args.methods.split(",") if m]
+        betas = _csv_floats(args.betas)
+        b_infs = [_parse_b_inf(x) for x in args.b_inf.split(",") if x]
+        quantiles = _csv_floats(args.quantiles)
+        if not (methods and betas and b_infs and quantiles):
+            raise ValueError("empty method/beta/b_inf/quantile grid")
+        unknown = [m for m in methods if m not in limits.METHODS]
+        if unknown:
+            raise ValueError(f"unknown method {unknown[0]!r}")
+        cells = [
+            (method, BatchAsymptotics(beta=beta, b_inf=b_inf))
+            for method in methods
+            for beta in betas
+            for b_inf in b_infs
+        ]
+        values = critical_values(
+            cells, quantiles,
+            replications=args.reps, grid_count=args.grid,
+            master_seed=args.seed, workers=args.threads,
+        )
+    except ValueError as exc:
+        print(f"critvals: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    unknown = [m for m in methods if m not in limits.METHODS]
-    if unknown:
-        print(f"critvals: unknown method {unknown[0]!r}", file=sys.stderr)
-        return EXIT_USAGE
-    cells = [
-        (method, BatchAsymptotics(beta=beta, b_inf=b_inf))
-        for method in methods
-        for beta in betas
-        for b_inf in b_infs
-    ]
-    values = critical_values(
-        cells, quantiles,
-        replications=args.reps, grid_count=args.grid,
-        master_seed=args.seed, workers=args.threads,
-    )
     table = CriticalValueTable()
     for method, asym in cells:
         for q, value in zip(quantiles, values[(method, asym)]):
@@ -115,7 +121,7 @@ def _run_ci(args: argparse.Namespace) -> int:
     _echo(args)
     try:
         data = load_series(args.data)
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, ValueError) as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -131,7 +137,11 @@ def _run_ci(args: argparse.Namespace) -> int:
                 print("ci: --m and --d are required for OB methods", file=sys.stderr)
                 return EXIT_USAGE
             if args.table:
-                table = CriticalValueTable.from_csv(_resolve_table_path(args.table))
+                try:
+                    table = CriticalValueTable.from_csv(_resolve_table_path(args.table))
+                except (OSError, ValueError, KeyError) as exc:
+                    print(f"ci: cannot read table {args.table}: {exc}", file=sys.stderr)
+                    return EXIT_PARSE
                 source = TableCriticalValues(table)
             else:
                 # round to the table precision so in-process values match a
@@ -145,6 +155,12 @@ def _run_ci(args: argparse.Namespace) -> int:
                 args.method, data, args.m, args.d, args.alpha, estimator, source,
                 beta_declared=args.beta_declared,
             )
+    except KeyError as exc:
+        print(f"ci: {exc.args[0]}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:
+        print(f"ci: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DegenerateEstimateError as exc:
         print(f"ci: degenerate estimate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_ESTIMATE
@@ -191,9 +207,6 @@ def _run_coverage(args: argparse.Namespace) -> int:
     if args.study not in ("cvar", "ar1", "nhpp"):
         print(f"coverage: unknown study {args.study!r}", file=sys.stderr)
         return EXIT_USAGE
-    generator, truth, estimator = experiments.study_setup(
-        args.study, args.n, gamma=args.gamma, phi=args.phi, t=args.t, delta=args.delta,
-    )
     config = experiments.MethodConfig(
         method=args.method, alpha=args.alpha, d=args.d,
         beta_declared=None if args.method == "ss" else args.beta,
@@ -203,10 +216,16 @@ def _run_coverage(args: argparse.Namespace) -> int:
         master_seed=args.cv_seed, workers=args.threads,
     )
     try:
+        generator, truth, estimator = experiments.study_setup(
+            args.study, args.n, gamma=args.gamma, phi=args.phi, t=args.t, delta=args.delta,
+        )
         report = experiments.coverage_experiment(
             generator, truth, estimator, config, args.reps, args.seed,
             cv_source=cv_source, workers=args.threads, study=args.study,
         )
+    except ValueError as exc:
+        print(f"coverage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DegenerateEstimateError as exc:
         print(f"coverage: degenerate estimate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_ESTIMATE
@@ -245,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--estimator", required=True, help="mean | quantile:G | cvar:G[:Q] | cvartail:G[:Q] | ar1 | nhpp:D")
     p_ci.add_argument("--data", required=True)
     p_ci.add_argument("--table", help=f"critical-value CSV (also searched in ${TABLE_DIR_ENV})")
-    p_ci.add_argument("--weight", default="constant-sqrt12", choices=["constant-sqrt12"])
     p_ci.add_argument("--beta-declared", dest="beta_declared", type=float)
     p_ci.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
     p_ci.add_argument("--grid", type=int, default=DEFAULT_GRID)

@@ -21,11 +21,9 @@ from .cip import (
     BatchAsymptotics,
     CriticalValueSource,
     MonteCarloCriticalValues,
+    _estimate_variance,
     assemble_interval,
     classify_b_inf,
-    var_ob1,
-    var_ob2,
-    var_ob3,
 )
 from .errors import AllDegenerateError, DegenerateEstimateError, DegenerateIntervalError
 from .functionals import (
@@ -198,7 +196,6 @@ def _replication_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     na = np.zeros(count, dtype=bool)
     hw = np.full(count, np.nan)
     layout = None if config.method == "ss" else make_layout(spec.n, m, config.d)
-    b_inf_class = None if layout is None else classify_b_inf(layout)
     for i in range(count):
         data = generate(spec, SeedSpec(master_seed, lo + i))
         try:
@@ -206,12 +203,9 @@ def _replication_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 interval = subsampling_interval(data, estimator, config.alpha)
             else:
                 estimates = batch_estimates(data, layout, estimator)
-                if config.method == "ob1":
-                    variance = var_ob1(estimates, layout)
-                elif config.method == "ob2":
-                    variance = var_ob2(estimates, layout, b_inf_class)
-                else:
-                    variance = var_ob3(data, layout, estimator, weight)
+                variance = _estimate_variance(
+                    config.method, data, layout, estimator, estimates, weight
+                )
                 interval = assemble_interval(
                     config.method, estimates, layout, config.alpha, cv, variance,
                     config.beta_declared,
@@ -239,7 +233,9 @@ def coverage_experiment(
     """Estimate the coverage probability of one interval procedure.
 
     Replication r uses data stream (master_seed, r); the critical value is
-    resolved once per configuration before replication starts.
+    resolved once per configuration before replication starts.  Without
+    ``cv_source``, critical values are drawn with the same ``weight`` as the
+    OB-III variance.
     """
     if replications < 1:
         raise ValueError("at least one replication is required")
@@ -252,6 +248,8 @@ def coverage_experiment(
         layout = make_layout(generator.n, m, config.d)
         beta_cv = layout.beta_hat if config.beta_declared is None else config.beta_declared
         b_inf = classify_b_inf(layout) if beta_cv > 0 else INFINITE
+        if cv_source is None and weight is not None:
+            cv_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED, weight=weight)
         source = cv_source or default_cv_source()
         cv = source.critical_value(
             config.method, BatchAsymptotics(beta=beta_cv, b_inf=b_inf), 1.0 - config.alpha / 2.0

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,9 +35,10 @@ class FunctionalEstimator:
     """Interface contract for window estimators.
 
     Subclasses set ``tag`` and ``min_window`` and implement :meth:`estimate`.
-    ``sliding_estimates`` and ``prefix_estimates`` are optional fast paths;
-    both mark degenerate windows with NaN instead of raising, so bulk callers
-    can do their own NA accounting.
+    ``sliding_estimates`` and ``prefix_estimates`` loop over :meth:`estimate`;
+    subclasses may replace them with vectorized kernels.  Both mark
+    degenerate windows with NaN instead of raising, so bulk callers can do
+    their own NA accounting.
     """
 
     tag: str = ""
@@ -52,9 +55,16 @@ class FunctionalEstimator:
             )
         return window
 
-    def sliding_estimates(self, x: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray | None:
-        """Vectorized estimates over the windows ``x[s : s + m]``, or None."""
-        return None
+    def sliding_estimates(self, x: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
+        """Estimates over the windows ``x[s : s + m]``, NaN where degenerate."""
+        x = np.asarray(x, dtype=float)
+        out = np.full(len(starts), np.nan)
+        for i, s in enumerate(starts):
+            try:
+                out[i] = self.estimate(x[s : s + m])
+            except DegenerateEstimateError:
+                pass
+        return out
 
     def prefix_estimates(self, window: np.ndarray) -> np.ndarray:
         """Estimates over the first ``j`` observations, ``j = 1..len(window)``.
@@ -72,21 +82,85 @@ class FunctionalEstimator:
         return out
 
 
-class _Mean(FunctionalEstimator):
-    tag = "mean"
-    min_window = 1
+_Terms = Callable[[np.ndarray], np.ndarray]
 
-    def estimate(self, window: np.ndarray) -> float:
+
+def _window_sums(terms: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    c = np.concatenate(([0.0], np.cumsum(terms)))
+    return c[ends] - c[starts]
+
+
+@dataclass(frozen=True, kw_only=True)
+class _WindowSum(FunctionalEstimator):
+    """``theta = sum(num) / (sum(den) * div)`` over a window, from cumulative sums.
+
+    ``num``, ``den`` and ``support`` map a series to one term per observation,
+    or with ``lag = 1`` to one term per adjacent pair, so a window of ``w``
+    observations holds ``w - lag`` terms.  ``den=None`` divides by the window length.  The
+    estimate is undefined on a window whose ``den`` terms, or whose
+    ``support`` terms, do not sum to a positive value.
+    """
+
+    tag: str
+    min_window: int
+    num: _Terms
+    den: _Terms | None = None
+    div: float = 1.0
+    lag: int = 0
+    support: _Terms | None = None
+
+    @property
+    def window_mean(self) -> bool:
+        """Whether theta is a window mean of per-observation terms over a
+        constant divisor, defined on every window of length 1 or more."""
+        return self.den is None and self.support is None and self.lag == 0 and self.min_window == 1
+
+    def estimate(self, window):
         window = self.check_window(window)
-        return float(window.mean())
+        den = window.size if self.den is None else self.den(window).sum()
+        if not den > 0 or (self.support is not None and not self.support(window).any()):
+            raise DegenerateEstimateError(f"{self.tag}: zero denominator or empty support")
+        return float(self.num(window).sum() / (den * self.div))
 
     def sliding_estimates(self, x, starts, m):
-        c = np.concatenate(([0.0], np.cumsum(x)))
-        return (c[starts + m] - c[starts]) / m
+        x = np.asarray(x, dtype=float)
+        ends = starts + (m - self.lag)
+        num = _window_sums(self.num(x), starts, ends)
+        if self.den is None and self.support is None:
+            return num / (m * self.div)
+        den = m if self.den is None else _window_sums(self.den(x), starts, ends)
+        defined = den > 0
+        if self.support is not None:
+            defined = defined & (_window_sums(self.support(x), starts, ends) > 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = num / (den * self.div)
+        return np.where(defined, out, np.nan)
 
-    def prefix_estimates(self, window):
-        window = np.asarray(window, dtype=float)
-        return np.cumsum(window) / np.arange(1, window.size + 1)
+
+def _identity(x):
+    return x
+
+
+def _counts(x):
+    if (x < 0).any():
+        raise ValueError("nhpp rate estimator requires nonnegative increment counts")
+    return x
+
+
+def _lag_products(x):
+    return x[:-1] * x[1:]
+
+
+def _lag_squares(x):
+    return x[:-1] * x[:-1]
+
+
+def _exceedances(q, x):
+    return x * (x >= q)
+
+
+def _at_or_above(q, x):
+    return x >= q
 
 
 @dataclass(frozen=True)
@@ -118,6 +192,8 @@ class _Quantile(FunctionalEstimator):
 
 def cvar_min_window(gamma: float) -> int:
     """Smallest window length with ``ceil(gamma * w) < w`` (an exceedance is possible)."""
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must be in (0, 1)")
     w = 1
     while math.ceil(gamma * w) >= w:
         w += 1
@@ -128,157 +204,59 @@ def cvar_min_window(gamma: float) -> int:
 class _CVaRSum(FunctionalEstimator):
     """Normalized tail sum ``(1 / (w (1 - gamma))) * sum of Z 1{Z >= q}``.
 
-    ``q`` is the window's own empirical ``gamma``-quantile unless supplied
-    (the known-quantile mode); with a known ``q`` a window containing no
-    observation at or above ``q`` is degenerate.
+    ``q`` is the window's own empirical ``gamma``-quantile.
     """
 
     gamma: float
-    q: float | None = None
     tag: str = field(init=False)
     min_window: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must be in (0, 1)")
         object.__setattr__(self, "min_window", cvar_min_window(self.gamma))
-        suffix = "" if self.q is None else f":{self.q:g}"
-        object.__setattr__(self, "tag", f"cvar:{self.gamma:g}{suffix}")
-
-    def _threshold(self, window: np.ndarray) -> float:
-        if self.q is not None:
-            return self.q
-        k = math.ceil(self.gamma * window.size)
-        return float(np.partition(window, k - 1)[k - 1])
+        object.__setattr__(self, "tag", f"cvar:{self.gamma:g}")
 
     def estimate(self, window):
         window = self.check_window(window)
-        q = self._threshold(window)
-        mask = window >= q
-        if not mask.any():
-            raise DegenerateEstimateError(f"{self.tag}: no observation at or above q={q}")
-        return float(window[mask].sum() / (window.size * (1.0 - self.gamma)))
+        k = math.ceil(self.gamma * window.size)
+        q = float(np.partition(window, k - 1)[k - 1])
+        return float(window[window >= q].sum() / (window.size * (1.0 - self.gamma)))
 
     def sliding_estimates(self, x, starts, m):
-        x = np.asarray(x, dtype=float)
-        if self.q is None:
-            windows = sliding_window_view(x, m)[starts]
-            k = math.ceil(self.gamma * m)
-            part = np.partition(windows, k - 1, axis=1)
-            return part[:, k - 1 :].sum(axis=1) / (m * (1.0 - self.gamma))
-        indic = x >= self.q
-        s = np.concatenate(([0.0], np.cumsum(x * indic)))
-        c = np.concatenate(([0], np.cumsum(indic)))
-        sums = s[starts + m] - s[starts]
-        counts = c[starts + m] - c[starts]
-        out = sums / (m * (1.0 - self.gamma))
-        return np.where(counts > 0, out, np.nan)
+        windows = sliding_window_view(np.asarray(x, dtype=float), m)[starts]
+        k = math.ceil(self.gamma * m)
+        part = np.partition(windows, k - 1, axis=1)
+        return part[:, k - 1 :].sum(axis=1) / (m * (1.0 - self.gamma))
 
 
 @dataclass(frozen=True)
 class _CVaRTailMean(FunctionalEstimator):
-    """Mean of the window observations at or above the quantile threshold.
-
-    The tail-conditional (ratio) form of the CVaR estimator; with a known
-    threshold this is the variant whose sampling variance matches the
-    coverage studies (see the cvar study presets).  Degenerate when the
-    window has no exceedance.
-    """
+    """Mean of the window observations at or above the window's own empirical
+    ``gamma``-quantile: the tail-conditional (ratio) form of the CVaR estimator."""
 
     gamma: float
-    q: float | None = None
     tag: str = field(init=False)
     min_window: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must be in (0, 1)")
         object.__setattr__(self, "min_window", cvar_min_window(self.gamma))
-        suffix = "" if self.q is None else f":{self.q:g}"
-        object.__setattr__(self, "tag", f"cvartail:{self.gamma:g}{suffix}")
+        object.__setattr__(self, "tag", f"cvartail:{self.gamma:g}")
 
     def estimate(self, window):
         window = self.check_window(window)
-        if self.q is None:
-            k = math.ceil(self.gamma * window.size)
-            part = np.partition(window, k - 1)
-            return float(part[k - 1 :].mean())
-        mask = window >= self.q
-        if not mask.any():
-            raise DegenerateEstimateError(f"{self.tag}: no observation at or above q={self.q}")
-        return float(window[mask].mean())
+        k = math.ceil(self.gamma * window.size)
+        part = np.partition(window, k - 1)
+        return float(part[k - 1 :].mean())
 
     def sliding_estimates(self, x, starts, m):
-        x = np.asarray(x, dtype=float)
-        if self.q is None:
-            windows = sliding_window_view(x, m)[starts]
-            k = math.ceil(self.gamma * m)
-            part = np.partition(windows, k - 1, axis=1)
-            return part[:, k - 1 :].mean(axis=1)
-        indic = x >= self.q
-        s = np.concatenate(([0.0], np.cumsum(x * indic)))
-        c = np.concatenate(([0], np.cumsum(indic)))
-        sums = s[starts + m] - s[starts]
-        counts = c[starts + m] - c[starts]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = sums / counts
-        return np.where(counts > 0, out, np.nan)
-
-
-class _AR1(FunctionalEstimator):
-    """Least-squares lag-one coefficient with the intercept fixed at zero."""
-
-    tag = "ar1"
-    min_window = 2
-
-    def estimate(self, window):
-        window = self.check_window(window)
-        den = float(np.dot(window[:-1], window[:-1]))
-        if den == 0.0:
-            raise DegenerateEstimateError("ar1: zero denominator (window has no signal)")
-        return float(np.dot(window[:-1], window[1:]) / den)
-
-    def sliding_estimates(self, x, starts, m):
-        x = np.asarray(x, dtype=float)
-        xy = np.concatenate(([0.0], np.cumsum(x[:-1] * x[1:])))
-        xx = np.concatenate(([0.0], np.cumsum(x * x)))
-        num = xy[starts + m - 1] - xy[starts]
-        den = xx[starts + m - 1] - xx[starts]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = num / den
-        return np.where(den > 0, out, np.nan)
-
-
-@dataclass(frozen=True)
-class _NhppRate(FunctionalEstimator):
-    """Window mean of per-replication increment counts, divided by delta."""
-
-    delta: float
-    tag: str = field(init=False)
-    min_window = 1
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        object.__setattr__(self, "tag", f"nhpp:{self.delta:g}")
-
-    def estimate(self, window):
-        window = self.check_window(window)
-        if (window < 0).any():
-            raise ValueError("nhpp rate estimator requires nonnegative increment counts")
-        return float(window.mean() / self.delta)
-
-    def sliding_estimates(self, x, starts, m):
-        x = np.asarray(x, dtype=float)
-        if (x < 0).any():
-            raise ValueError("nhpp rate estimator requires nonnegative increment counts")
-        c = np.concatenate(([0.0], np.cumsum(x)))
-        return (c[starts + m] - c[starts]) / (m * self.delta)
+        windows = sliding_window_view(np.asarray(x, dtype=float), m)[starts]
+        k = math.ceil(self.gamma * m)
+        part = np.partition(windows, k - 1, axis=1)
+        return part[:, k - 1 :].mean(axis=1)
 
 
 def mean_estimator() -> FunctionalEstimator:
     """Window average."""
-    return _Mean()
+    return _WindowSum(tag="mean", min_window=1, num=_identity)
 
 
 def quantile_estimator(gamma: float) -> FunctionalEstimator:
@@ -287,21 +265,42 @@ def quantile_estimator(gamma: float) -> FunctionalEstimator:
 
 
 def cvar_estimator(gamma: float, q: float | None = None) -> FunctionalEstimator:
-    """Normalized CVaR tail sum; plug-in quantile unless ``q`` is given."""
-    return _CVaRSum(gamma, q)
+    """Normalized CVaR tail sum; plug-in quantile unless ``q`` is given.
+
+    With a known ``q``, a window with no observation at or above it is degenerate.
+    """
+    if q is None:
+        return _CVaRSum(gamma)
+    return _WindowSum(
+        tag=f"cvar:{gamma:g}:{q:g}", min_window=cvar_min_window(gamma),
+        num=partial(_exceedances, q), div=1.0 - gamma, support=partial(_at_or_above, q),
+    )
 
 
 def cvar_tail_mean_estimator(gamma: float, q: float | None = None) -> FunctionalEstimator:
-    """Tail-conditional mean above the (known or plug-in) quantile."""
-    return _CVaRTailMean(gamma, q)
+    """Tail-conditional mean above the (known or plug-in) quantile.
+
+    The known-``q`` form is the one the cvar coverage studies use; it is
+    degenerate on a window with no observation at or above ``q``.
+    """
+    if q is None:
+        return _CVaRTailMean(gamma)
+    return _WindowSum(
+        tag=f"cvartail:{gamma:g}:{q:g}", min_window=cvar_min_window(gamma),
+        num=partial(_exceedances, q), den=partial(_at_or_above, q),
+    )
 
 
 def ar1_estimator() -> FunctionalEstimator:
-    return _AR1()
+    """Least-squares lag-one coefficient with the intercept fixed at zero."""
+    return _WindowSum(tag="ar1", min_window=2, num=_lag_products, den=_lag_squares, lag=1)
 
 
 def nhpp_rate_estimator(delta: float) -> FunctionalEstimator:
-    return _NhppRate(delta)
+    """Window mean of per-replication increment counts, divided by delta."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    return _WindowSum(tag=f"nhpp:{delta:g}", min_window=1, num=_counts, div=delta)
 
 
 def parse_estimator_tag(tag: str) -> FunctionalEstimator:

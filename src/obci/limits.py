@@ -5,9 +5,16 @@ OB-II / OB-III limit random variables (joint numerator and chi-square draws
 from a single Wiener path), the critical-value engine with its CSV table
 format, and the closed-form OB-I asymptotic moment expressions.
 
-The central correctness contract: the numerator and denominator of every
-Studentized draw come from the same path.  Sampling them independently would
-corrupt the tails of the T distribution.
+Every Studentized draw takes its numerator and denominator from the same
+path, and stream r maps to row r of every cell.  Only OB-II needs the joint
+draw for correctness: its numerator is correlated with its chi-square
+denominator, and sampling them independently would corrupt the tails of the
+T distribution.  For OB-I and OB-III the numerator is exactly independent
+of the denominator, on the grid too: for OB-I, Cov(W(1), W(t + beta) - W(t)
+- beta W(1)) = 0 for every window; for OB-III, the ``half`` term of each
+window area cancels the covariance of its left-endpoint sum with the
+numerator.  The shared path stays for those two because it keeps stream r
+on row r of every cell.
 """
 
 from __future__ import annotations
@@ -693,7 +700,7 @@ class CriticalValueTable:
         table = cls()
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != _CSV_HEADER:
                 raise ValueError(f"{path}: unexpected header {header}")
             for row in reader:

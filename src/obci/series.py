@@ -131,24 +131,13 @@ def batch_estimates(
         )
     x = data.values
     per_batch = est.sliding_estimates(x, layout.starts, layout.m)
-    if per_batch is None:
-        per_batch = np.empty(layout.b)
-        for i, s in enumerate(layout.starts):
-            try:
-                per_batch[i] = est.estimate(x[s : s + layout.m])
-            except DegenerateEstimateError as exc:
-                raise DegenerateEstimateError(
-                    f"batch {i + 1}: {exc}", batch_index=i + 1
-                ) from exc
-    else:
-        per_batch = np.asarray(per_batch, dtype=float)
-        bad = np.flatnonzero(np.isnan(per_batch))
-        if bad.size:
-            raise DegenerateEstimateError(
-                f"{est.tag}: degenerate estimate in batch {bad[0] + 1}"
-                + (f" (+{bad.size - 1} more)" if bad.size > 1 else ""),
-                batch_index=int(bad[0]) + 1,
-            )
+    bad = np.flatnonzero(np.isnan(per_batch))
+    if bad.size:
+        raise DegenerateEstimateError(
+            f"{est.tag}: degenerate estimate in batch {bad[0] + 1}"
+            + (f" (+{bad.size - 1} more)" if bad.size > 1 else ""),
+            batch_index=int(bad[0]) + 1,
+        )
     sectioning = est.estimate(x)
     return BatchEstimates(per_batch=per_batch, sectioning=float(sectioning))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cip import IntervalResult, classify_b_inf
-from .errors import DegenerateEstimateError, DegenerateIntervalError
+from .errors import DegenerateIntervalError
 from .functionals import FunctionalEstimator
 from .series import TimeSeriesData, make_layout
 
@@ -54,14 +54,6 @@ def subsample_distribution(
     starts = np.arange(n - m + 1)
     full = estimator.estimate(x)
     roots = estimator.sliding_estimates(x, starts, m)
-    if roots is None:
-        roots = np.empty(starts.size)
-        for i, s in enumerate(starts):
-            try:
-                roots[i] = estimator.estimate(x[s : s + m])
-            except DegenerateEstimateError:
-                roots[i] = np.nan
-    roots = np.asarray(roots, dtype=float)
     valid = ~np.isnan(roots)
     dropped = int(starts.size - valid.sum())
     if dropped:

@@ -17,6 +17,7 @@ from obci import (
     classify_b_inf,
     make_layout,
     mean_estimator,
+    nhpp_rate_estimator,
     var_ob1,
     var_ob2,
     var_ob3,
@@ -89,18 +90,44 @@ def test_var_ob3_constant_series_is_zero():
 def test_var_ob3_fast_path_matches_generic():
     gen = np.random.default_rng(4)
     data = TimeSeriesData(gen.standard_normal(150))
+    counts = TimeSeriesData(gen.poisson(2.0, 150).astype(float))
     lay = make_layout(150, 30, 11)
 
     class GenericMean(mean_estimator().__class__.__bases__[0]):
         tag = "mean-generic"
         min_window = 1
+        delta = 1.0
 
         def estimate(self, window):
-            return float(np.asarray(window, dtype=float).mean())
+            return float(np.asarray(window, dtype=float).mean()) / self.delta
 
-    fast = var_ob3(data, lay, mean_estimator()).value
-    slow = var_ob3(data, lay, GenericMean()).value
-    assert fast == pytest.approx(slow, rel=1e-10)
+    class GenericNhpp(GenericMean):
+        tag = "nhpp-generic"
+        delta = 0.1
+
+    for series, est, generic in [
+        (data, mean_estimator(), GenericMean()),
+        (counts, nhpp_rate_estimator(0.1), GenericNhpp()),
+    ]:
+        fast = var_ob3(series, lay, est).value
+        slow = var_ob3(series, lay, generic).value
+        assert fast == pytest.approx(slow, rel=1e-10)
+
+
+def test_var_ob3_nhpp_makes_no_prefix_estimate_calls(monkeypatch):
+    # the per-prefix loop would make b * m = 751 * 250 = 187,750 calls here
+    est = nhpp_rate_estimator(0.1)
+    calls = []
+    original = type(est).estimate
+
+    def counting(self, window):
+        calls.append(len(window))
+        return original(self, window)
+
+    monkeypatch.setattr(type(est), "estimate", counting)
+    data = TimeSeriesData(np.random.default_rng(17).poisson(2.0, 1000).astype(float))
+    assert var_ob3(data, make_layout(1000, 250, 1), est).value > 0
+    assert calls == []
 
 
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=8, max_size=60))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from obci import CriticalValueTable, SeedSpec, cli
+from obci import INFINITE, CriticalValueEntry, CriticalValueTable, SeedSpec, cli
 from obci.cli import (
     EXIT_DEGENERATE_ESTIMATE,
     EXIT_DEGENERATE_INTERVAL,
@@ -93,11 +93,12 @@ def test_ci_exit_codes(tmp_path):
     ]) == EXIT_DEGENERATE_INTERVAL
 
     bad = tmp_path / "bad.txt"
-    bad.write_text("1.0\nnope\n")
-    assert main([
-        "ci", "--method", "ob1", "--m", "2", "--d", "1", "--estimator", "mean",
-        "--data", str(bad),
-    ]) == EXIT_PARSE
+    for text in ("1.0\nnope\n", "1.0\nnan\n2.0\n"):
+        bad.write_text(text)
+        assert main([
+            "ci", "--method", "ob1", "--m", "2", "--d", "1", "--estimator", "mean",
+            "--data", str(bad),
+        ]) == EXIT_PARSE
 
     normal = tmp_path / "norm.txt"
     _write_normal_data(normal, n=60)
@@ -209,3 +210,58 @@ def test_coverage_unknown_preset():
 
 def test_usage_exit_code():
     assert main(["unknown-subcommand"]) == EXIT_USAGE
+
+
+def _error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if not line.startswith("# config:")]
+
+
+@pytest.mark.parametrize("bad", [["--betas", "1.5"], ["--reps", "100"], ["--quantiles", "1.5"]])
+def test_critvals_bad_values_are_usage_errors(tmp_path, capsys, bad):
+    argv = ["critvals", "--betas", "0.25", "--quantiles", "0.95", "--reps", "10000",
+            "--grid", "32", "--out", str(tmp_path / "t.csv")]
+    flag = argv.index(bad[0])
+    argv[flag + 1] = bad[1]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert len(_error_lines(capsys)) == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad", [["--alpha", "2"], ["--m", "1"], ["--m", "61"], ["--beta-declared", "1.5"]]
+)
+def test_ci_bad_values_are_usage_errors(tmp_path, capsys, bad):
+    data_file = tmp_path / "data.txt"
+    _write_normal_data(data_file, n=60)
+    argv = ["ci", "--method", "ob1", "--m", "15", "--d", "1", "--estimator", "mean",
+            "--data", str(data_file), "--reps", "10000", "--grid", "32", *bad]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert len(_error_lines(capsys)) == 1
+
+
+@pytest.mark.parametrize("table", ["missing", "bad-header", "no-entry"])
+def test_ci_unusable_table_is_a_parse_error(tmp_path, capsys, table):
+    data_file = tmp_path / "data.txt"
+    _write_normal_data(data_file, n=60)
+    path = tmp_path / f"{table}.csv"
+    if table == "bad-header":
+        path.write_text("method,beta\nOB-I,0.25\n")
+    elif table == "no-entry":
+        only_ob2 = CriticalValueTable()
+        only_ob2.add(CriticalValueEntry("ob2", 0.25, INFINITE, 0.975, 2.5, 10_000, 32, 1))
+        only_ob2.to_csv(path)
+    capsys.readouterr()
+    code = main([
+        "ci", "--method", "ob1", "--m", "15", "--d", "1", "--estimator", "mean",
+        "--data", str(data_file), "--table", str(path),
+    ])
+    assert code == EXIT_PARSE
+    assert len(_error_lines(capsys)) == 1
+
+
+def test_coverage_zero_reps_is_usage_error(capsys):
+    capsys.readouterr()
+    assert main(["coverage", "--study", "cvar", "--method", "ss", "--reps", "0"]) == EXIT_USAGE
+    assert _error_lines(capsys) == ["coverage: at least one replication is required"]

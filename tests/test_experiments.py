@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +17,8 @@ from obci import (
     offset_sweep,
     study_setup,
 )
+from obci import cip
+from obci.limits import WeightFunction
 
 from conftest import StubCriticalValues
 
@@ -151,3 +155,21 @@ def test_subsampling_method_in_harness():
     assert report.method == "ss"
     assert report.m == 16
     assert 0.8 < report.coverage <= 1.0
+
+
+def test_coverage_default_source_gets_the_weight(monkeypatch):
+    # an f-weighted OB-III variance must be paired with f-weighted critical values
+    weight = WeightFunction(lambda v: math.sqrt(12.0) * np.ones_like(v), "flat-callable")
+    seen = []
+
+    def fake_draws(cells, replications, grid_count, master_seed, weight, workers):
+        seen.append(weight)
+        return {cell: np.linspace(-3.0, 3.0, 10_001) for cell in cells}
+
+    monkeypatch.setattr(cip, "studentized_draws", fake_draws)
+    report = coverage_experiment(
+        GeneratorSpec.iid_normal(200), 0.0, mean_estimator(), MethodConfig("ob3", m=50, d=10),
+        replications=4, master_seed=15, weight=weight,
+    )
+    assert seen == [weight]
+    assert report.critical_value_used == pytest.approx(2.85, abs=1e-3)

@@ -8,6 +8,9 @@ from scipy import stats
 
 from obci import (
     DegenerateEstimateError,
+    TimeSeriesData,
+    batch_estimates,
+    make_layout,
     ar1_estimator,
     cvar_estimator,
     cvar_tail_mean_estimator,
@@ -16,7 +19,7 @@ from obci import (
     parse_estimator_tag,
     quantile_estimator,
 )
-from obci.functionals import cvar_min_window
+from obci.functionals import FunctionalEstimator, cvar_min_window
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -119,6 +122,8 @@ def test_nhpp_examples():
     assert est.estimate(np.zeros(8)) == 0.0
     with pytest.raises(ValueError):
         est.estimate(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        est.sliding_estimates(np.array([1.0, -1.0, 2.0]), np.arange(2), 2)
 
 
 @pytest.mark.parametrize(
@@ -172,3 +177,53 @@ def test_prefix_estimates_flag_short_windows():
     assert np.isnan(out[0])
     assert out[1] == pytest.approx(0.5)
     assert out[2] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        mean_estimator,
+        lambda: nhpp_rate_estimator(0.5),
+        ar1_estimator,
+        lambda: cvar_estimator(0.7, q=1.0),
+        lambda: cvar_tail_mean_estimator(0.7, q=1.0),
+    ],
+)
+def test_sum_form_sliding_equals_estimate_on_every_window(factory):
+    # ties, values equal to q = 1, and runs below q and of zeros long enough
+    # to leave windows of the ratio forms degenerate; every sum is exact
+    x = np.array([0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 1, 2, 0, 1, 3, 3, 2, 1, 0, 1,
+                  0, 0, 0, 0, 0, 0, 1, 0.5, 0.5, 0, 0, 0, 0], dtype=float)
+    est = factory()
+    degenerate = 0
+    for m in range(est.min_window, est.min_window + 6):
+        starts = np.arange(x.size - m + 1)
+        for s, value in zip(starts, est.sliding_estimates(x, starts, m)):
+            try:
+                expected = est.estimate(x[s : s + m])
+            except DegenerateEstimateError:
+                degenerate += 1
+                assert np.isnan(value), (m, s)
+            else:
+                assert value == expected, (m, s)
+    assert (degenerate > 0) == (est.tag.split(":")[0] in ("ar1", "cvar", "cvartail"))
+
+
+def test_user_estimator_needs_only_estimate():
+    class NonzeroMean(FunctionalEstimator):
+        tag = "nonzero-mean"
+        min_window = 2
+
+        def estimate(self, window):
+            window = self.check_window(window)
+            if not window.any():
+                raise DegenerateEstimateError("all zero")
+            return float(window.mean())
+
+    x = np.array([1.0, 0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(
+        NonzeroMean().sliding_estimates(x, np.arange(3), 2), [0.5, np.nan, 1.5]
+    )
+    with pytest.raises(DegenerateEstimateError) as err:
+        batch_estimates(TimeSeriesData(x), make_layout(4, 2, 1), NonzeroMean())
+    assert err.value.batch_index == 2
