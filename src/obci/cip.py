@@ -294,12 +294,13 @@ def build_interval(
     from .series import make_layout
 
     layout = make_layout(data.n, m, d)
-    estimates = batch_estimates(data, layout, estimator)
-    variance = _estimate_variance(method, data, layout, estimator, estimates, weight)
     b_inf_class = classify_b_inf(layout)
     beta_cv = layout.beta_hat if beta_declared is None else beta_declared
-    cv_source = cv_source or MonteCarloCriticalValues(weight=weight)
+    # checks beta_declared before the estimates are paid for
     asym = BatchAsymptotics(beta=beta_cv, b_inf=b_inf_class if beta_cv > 0 else INFINITE)
+    estimates = batch_estimates(data, layout, estimator)
+    variance = _estimate_variance(method, data, layout, estimator, estimates, weight)
+    cv_source = cv_source or MonteCarloCriticalValues(weight=weight)
     q = 1.0 - alpha / 2.0 if side == "two-sided" else 1.0 - alpha
     cv = cv_source.critical_value(method, asym, q)
     result = assemble_interval(method, estimates, layout, alpha, cv, variance, beta_declared)

@@ -5,9 +5,9 @@ reproduced; data rows go to stdout.  Exit codes: 0 success, 2 usage (also an
 out-of-range argument value, such as a level outside (0, 1) or a batch size
 the series cannot hold), 3 unreadable or malformed data or table file (also
 a table with no entry for the requested method, b_inf and level), 4
-degenerate estimate, 5 degenerate interval, 6 out of memory (``ci``: the
-series and batch size need more memory than is available).  Every nonzero
-exit prints a message to stderr, not a traceback.
+degenerate estimate, 5 degenerate interval, 6 out of memory (``ci``: an
+allocation failed).  Every nonzero exit prints a message to stderr, not a
+traceback.
 """
 
 from __future__ import annotations
@@ -119,6 +119,13 @@ def _resolve_table_path(path: str) -> Path:
 
 def _run_ci(args: argparse.Namespace) -> int:
     _echo(args)
+    if args.method != "ss" and not args.table:
+        # the Monte Carlo source would reject it only after the batch estimates
+        try:
+            limits._require_replications(args.reps)
+        except ValueError as exc:
+            print(f"ci: --reps {args.reps}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         data = load_series(args.data)
     except (DataFormatError, OSError, ValueError) as exc:

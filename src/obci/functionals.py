@@ -4,6 +4,14 @@ Every estimator maps an ordered window of reals to one real number and is
 deterministic in its input.  Windows shorter than ``min_window`` are rejected,
 never silently extrapolated; windows on which the functional is undefined
 raise :class:`~obci.errors.DegenerateEstimateError`.
+
+The plug-in order-statistic estimators (``quantile:G``, ``cvar:G``,
+``cvartail:G``) read the ``ceil(gamma * w)``-th order statistic ``q`` of a
+window of ``w`` values.  The CVaR forms take as the tail every value at or
+above ``q``, ties with ``q`` included, in ``estimate``, in
+``sliding_estimates`` and so in the OB-III prefixes.  Their sliding kernels
+copy and partition a few windows at a time, so their memory does not grow
+with the number of windows.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateEstimateError
+
+# Bytes of window rows that a plug-in sliding kernel copies and partitions at once.
+_CHUNK_BYTES = 1 << 20
 
 __all__ = [
     "FunctionalEstimator",
@@ -163,6 +174,34 @@ def _at_or_above(q, x):
     return x >= q
 
 
+def _partitioned_windows(x, starts, m, k):
+    """Yield ``(rows, block)``: the windows ``x[s : s + m]`` for ``starts[rows]``,
+    a few at a time, each row partitioned about its ``k``-th smallest value.
+
+    Partitioning works row by row, so the values do not depend on the chunking.
+    """
+    view = sliding_window_view(np.asarray(x, dtype=float), m)
+    step = max(1, _CHUNK_BYTES // (8 * m))
+    for c in range(0, len(starts), step):
+        block = view[starts[c : c + step]]
+        block.partition(k - 1, axis=1)
+        yield slice(c, c + step), block
+
+
+def _sliding_tails(x, starts, m, k):
+    """Per window, the sum and the count of the values at or above its ``k``-th
+    smallest value ``q``: the ``m - k + 1`` partitioned top values plus the
+    values below them that tie with ``q``."""
+    sums = np.empty(len(starts))
+    counts = np.empty(len(starts), dtype=np.int64)
+    for rows, block in _partitioned_windows(x, starts, m, k):
+        q = block[:, k - 1]
+        ties = np.count_nonzero(block[:, : k - 1] == q[:, None], axis=1)
+        sums[rows] = block[:, k - 1 :].sum(axis=1) + q * ties
+        counts[rows] = m - k + 1 + ties
+    return sums, counts
+
+
 @dataclass(frozen=True)
 class _Quantile(FunctionalEstimator):
     """Smallest order statistic whose empirical cdf reaches ``gamma``."""
@@ -185,9 +224,11 @@ class _Quantile(FunctionalEstimator):
         return float(np.partition(window, k - 1)[k - 1])
 
     def sliding_estimates(self, x, starts, m):
-        windows = sliding_window_view(np.asarray(x, dtype=float), m)[starts]
         k = self.order_index(m)
-        return np.partition(windows, k - 1, axis=1)[:, k - 1]
+        out = np.empty(len(starts))
+        for rows, block in _partitioned_windows(x, starts, m, k):
+            out[rows] = block[:, k - 1]
+        return out
 
 
 def cvar_min_window(gamma: float) -> int:
@@ -204,7 +245,8 @@ def cvar_min_window(gamma: float) -> int:
 class _CVaRSum(FunctionalEstimator):
     """Normalized tail sum ``(1 / (w (1 - gamma))) * sum of Z 1{Z >= q}``.
 
-    ``q`` is the window's own empirical ``gamma``-quantile.
+    ``q`` is the window's own ``ceil(gamma * w)``-th order statistic; values
+    tied with ``q`` are in the tail.
     """
 
     gamma: float
@@ -222,16 +264,15 @@ class _CVaRSum(FunctionalEstimator):
         return float(window[window >= q].sum() / (window.size * (1.0 - self.gamma)))
 
     def sliding_estimates(self, x, starts, m):
-        windows = sliding_window_view(np.asarray(x, dtype=float), m)[starts]
-        k = math.ceil(self.gamma * m)
-        part = np.partition(windows, k - 1, axis=1)
-        return part[:, k - 1 :].sum(axis=1) / (m * (1.0 - self.gamma))
+        sums, _ = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
+        return sums / (m * (1.0 - self.gamma))
 
 
 @dataclass(frozen=True)
 class _CVaRTailMean(FunctionalEstimator):
-    """Mean of the window observations at or above the window's own empirical
-    ``gamma``-quantile: the tail-conditional (ratio) form of the CVaR estimator."""
+    """Mean of the window observations at or above the window's own
+    ``ceil(gamma * w)``-th order statistic ``q``, ties with ``q`` included:
+    the tail-conditional (ratio) form of the CVaR estimator."""
 
     gamma: float
     tag: str = field(init=False)
@@ -245,13 +286,13 @@ class _CVaRTailMean(FunctionalEstimator):
         window = self.check_window(window)
         k = math.ceil(self.gamma * window.size)
         part = np.partition(window, k - 1)
-        return float(part[k - 1 :].mean())
+        q = part[k - 1]
+        ties = np.count_nonzero(part[: k - 1] == q)
+        return float((part[k - 1 :].sum() + q * ties) / (window.size - k + 1 + ties))
 
     def sliding_estimates(self, x, starts, m):
-        windows = sliding_window_view(np.asarray(x, dtype=float), m)[starts]
-        k = math.ceil(self.gamma * m)
-        part = np.partition(windows, k - 1, axis=1)
-        return part[:, k - 1 :].mean(axis=1)
+        sums, counts = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
+        return sums / counts
 
 
 def mean_estimator() -> FunctionalEstimator:

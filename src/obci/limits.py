@@ -218,7 +218,8 @@ def _obi_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np.
     w1 = w[:, n]
     scale = 1.0 / kappa1(bd)
     if _is_infinite(b_inf):
-        d = w[:, k:] - w[:, : n + 1 - k] - bd * w1[:, None]
+        d = w[:, k:] - w[:, : n + 1 - k]
+        d -= bd * w1[:, None]
         integral = np.einsum("ij,ij->i", d[:, : n - k], d[:, : n - k]) / n
         chi = scale * integral / (bd * (1.0 - bd))
     else:
@@ -236,8 +237,8 @@ def _obii_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np
     if _is_infinite(b_inf):
         wt = (w[:, k:] - w[:, : n + 1 - k])[:, : n - k]
         mean = wt.mean(axis=1)
-        centred = wt - mean[:, None]
-        integral = np.einsum("ij,ij->i", centred, centred) / n
+        wt -= mean[:, None]
+        integral = np.einsum("ij,ij->i", wt, wt) / n
         chi = integral / (kappa2(bd, INFINITE) * bd * (1.0 - bd))
         num = mean / bd
     else:
@@ -245,8 +246,8 @@ def _obii_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np
         cs = _finite_starts(n - k, b)
         wt = w[:, cs + k] - w[:, cs]
         mean = wt.mean(axis=1)
-        centred = wt - mean[:, None]
-        chi = np.einsum("ij,ij->i", centred, centred) / (kappa2(bd, b) * bd * b)
+        wt -= mean[:, None]
+        chi = np.einsum("ij,ij->i", wt, wt) / (kappa2(bd, b) * bd * b)
         num = mean / bd
     return num, chi
 

@@ -11,6 +11,7 @@ from scipy import stats
 from obci import (
     INFINITE,
     DegenerateIntervalError,
+    ar1_estimator,
     TimeSeriesData,
     batch_estimates,
     build_interval,
@@ -22,7 +23,7 @@ from obci import (
     var_ob2,
     var_ob3,
 )
-from obci import cip
+from obci import cip, functionals
 from obci.cip import MonteCarloCriticalValues, VarianceEstimate, assemble_interval
 from obci.limits import BatchAsymptotics, WeightFunction, critical_value
 from obci.series import BatchEstimates
@@ -238,6 +239,21 @@ def test_build_interval_default_source_gets_the_weight(monkeypatch):
     result = build_interval("ob3", data, 50, 10, 0.05, mean_estimator(), weight=weight)
     assert seen == [weight]
     assert result.critical_value_used == pytest.approx(2.85, abs=1e-3)
+
+
+def test_build_interval_checks_beta_declared_before_estimates(monkeypatch, stub_cv):
+    calls = []
+    original = functionals._WindowSum.estimate
+
+    def counting(self, window):
+        calls.append(window.size)
+        return original(self, window)
+
+    monkeypatch.setattr(functionals._WindowSum, "estimate", counting)
+    data = TimeSeriesData(np.random.default_rng(17).standard_normal(1000))
+    with pytest.raises(ValueError, match="beta"):
+        build_interval("ob3", data, 250, 1, 0.05, ar1_estimator(), stub_cv, beta_declared=1.5)
+    assert calls == []
 
 
 def test_monte_carlo_source_draws_each_cell_once(monkeypatch):

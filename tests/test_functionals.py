@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from obci import (
     parse_estimator_tag,
     quantile_estimator,
 )
+from obci import functionals
 from obci.functionals import FunctionalEstimator, cvar_min_window
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -227,3 +230,45 @@ def test_user_estimator_needs_only_estimate():
     with pytest.raises(DegenerateEstimateError) as err:
         batch_estimates(TimeSeriesData(x), make_layout(4, 2, 1), NonzeroMean())
     assert err.value.batch_index == 2
+
+
+TIED = np.array([0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 1, 2, 0, 1, 3, 3, 2, 1, 0, 1], dtype=float)
+
+
+@pytest.mark.parametrize("tag", ["cvar:0.7", "cvartail:0.7", "quantile:0.7"])
+def test_plugin_sliding_equals_estimate_on_tied_windows(tag):
+    # the tail is every value at or above the ceil(gamma m)-th order statistic,
+    # ties included, in both paths; every sum here is exact
+    est = parse_estimator_tag(tag)
+    starts = np.arange(TIED.size - 10 + 1)
+    sliding = est.sliding_estimates(TIED, starts, 10)
+    assert list(sliding) == [est.estimate(TIED[s : s + 10]) for s in starts]
+    # start 5: five 3s at or above q = 3, over 10 * 0.3; start 9: q = 2 and
+    # the tail 2, 2, 3, 3, 3 (not the top four values)
+    expected = {"cvar:0.7": (5, 5.0), "cvartail:0.7": (9, 2.6), "quantile:0.7": (9, 2.0)}[tag]
+    assert sliding[expected[0]] == pytest.approx(expected[1], rel=1e-15)
+
+
+@pytest.mark.parametrize("tag", ["quantile:0.9", "cvar:0.9", "cvartail:0.9"])
+def test_plugin_sliding_does_not_depend_on_chunking(tag, rng, monkeypatch):
+    est = parse_estimator_tag(tag)
+    x = rng.standard_normal(2000)
+    m = 100
+    starts = np.arange(0, x.size - m + 1, 3)
+    whole = est.sliding_estimates(x, starts, m)
+    for rows in (1, 3):
+        monkeypatch.setattr(functionals, "_CHUNK_BYTES", rows * 8 * m)
+        assert np.array_equal(est.sliding_estimates(x, starts, m), whole)
+
+
+def test_plugin_sliding_memory_is_bounded(rng):
+    # 15,001 windows of 5000 values: a full window copy would need 600 MB
+    x = rng.standard_normal(20_000)
+    starts = np.arange(x.size - 5000 + 1)
+    tracemalloc.start()
+    try:
+        quantile_estimator(0.9).sliding_estimates(x, starts, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

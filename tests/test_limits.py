@@ -221,6 +221,38 @@ def test_evaluators_leave_the_shared_block_unchanged(b_inf):
 
 
 @pytest.mark.parametrize("b_inf", [INFINITE, 10])
+def test_obi_obii_in_place_match_out_of_place_expressions(b_inf):
+    # the evaluators subtract in place; the same arithmetic written out of place
+    # must give the same bits
+    grid = 256
+    w = limits.wiener_block(grid, 1.0 / grid, 46, 0, 12)
+    k = round(0.2 * grid)
+    bd = k / grid
+    w1 = w[:, grid]
+    if math.isinf(b_inf):
+        d = w[:, k:] - w[:, : grid + 1 - k] - bd * w1[:, None]
+        integral = np.einsum("ij,ij->i", d[:, : grid - k], d[:, : grid - k]) / grid
+        ob1_chi = (1.0 / kappa1(bd)) * integral / (bd * (1.0 - bd))
+        wt = (w[:, k:] - w[:, : grid + 1 - k])[:, : grid - k]
+        mean = wt.mean(axis=1)
+        centred = wt - mean[:, None]
+        integral = np.einsum("ij,ij->i", centred, centred) / grid
+        ob2_chi = integral / (kappa2(bd, INFINITE) * bd * (1.0 - bd))
+    else:
+        cs = limits._finite_starts(grid - k, b_inf)
+        d = w[:, cs + k] - w[:, cs] - bd * w1[:, None]
+        ob1_chi = (1.0 / kappa1(bd)) * np.einsum("ij,ij->i", d, d) / (bd * b_inf)
+        wt = w[:, cs + k] - w[:, cs]
+        mean = wt.mean(axis=1)
+        centred = wt - mean[:, None]
+        ob2_chi = np.einsum("ij,ij->i", centred, centred) / (kappa2(bd, b_inf) * bd * b_inf)
+    num, chi = _obi_pair(w, 0.2, b_inf)
+    assert np.array_equal(num, w1) and np.array_equal(chi, ob1_chi)
+    num, chi = _obii_pair(w, 0.2, b_inf)
+    assert np.array_equal(num, mean / bd) and np.array_equal(chi, ob2_chi)
+
+
+@pytest.mark.parametrize("b_inf", [INFINITE, 10])
 def test_obiii_values_do_not_depend_on_row_chunking(monkeypatch, b_inf):
     grid = 64
     w = limits.wiener_block(2 * grid, 1.0 / grid, 45, 0, 9)
