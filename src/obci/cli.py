@@ -127,15 +127,15 @@ def _run_ci(args: argparse.Namespace) -> int:
             print(f"ci: --reps {args.reps}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        data = load_series(args.data)
-    except (DataFormatError, OSError, ValueError) as exc:
-        print(f"ci: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
         estimator = parse_estimator_tag(args.estimator)
     except ValueError as exc:
         print(f"ci: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        data = load_series(args.data)
+    except (DataFormatError, OSError, ValueError) as exc:
+        print(f"ci: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.method == "ss":
             result = subsampling_interval(data, estimator, args.alpha)

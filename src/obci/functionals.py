@@ -9,13 +9,18 @@ The plug-in order-statistic estimators (``quantile:G``, ``cvar:G``,
 ``cvartail:G``) read the ``ceil(gamma * w)``-th order statistic ``q`` of a
 window of ``w`` values.  The CVaR forms take as the tail every value at or
 above ``q``, ties with ``q`` included, in ``estimate``, in
-``sliding_estimates`` and so in the OB-III prefixes.  Their sliding kernels
+``sliding_estimates`` and ``prefix_estimates``.  Their sliding kernels
 copy and partition a few windows at a time, so their memory does not grow
-with the number of windows.
+with the number of windows.  Their ``prefix_estimates`` (the OB-III
+prefixes of one batch of ``m`` values) keep a running order statistic in two
+heaps over one pass, O(m log m) time and O(m) memory per batch instead of
+one partition per prefix; the tail of prefix ``j`` is the upper heap plus the
+values in the lower heap that tie with ``q_j``, the same rule.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,7 +52,7 @@ class FunctionalEstimator:
 
     Subclasses set ``tag`` and ``min_window`` and implement :meth:`estimate`.
     ``sliding_estimates`` and ``prefix_estimates`` loop over :meth:`estimate`;
-    subclasses may replace them with vectorized kernels.  Both mark
+    subclasses may replace them with faster kernels.  Both mark
     degenerate windows with NaN instead of raising, so bulk callers can do
     their own NA accounting.
     """
@@ -196,10 +201,54 @@ def _sliding_tails(x, starts, m, k):
     counts = np.empty(len(starts), dtype=np.int64)
     for rows, block in _partitioned_windows(x, starts, m, k):
         q = block[:, k - 1]
-        ties = np.count_nonzero(block[:, : k - 1] == q[:, None], axis=1)
+        ties = np.zeros(len(block), dtype=np.int64)
+        # a lower value can tie with q only in a row whose lower part peaks at q
+        tied = np.flatnonzero(block[:, : k - 1].max(axis=1, initial=-np.inf) == q)
+        ties[tied] = np.count_nonzero(block[tied, : k - 1] == q[tied, None], axis=1)
         sums[rows] = block[:, k - 1 :].sum(axis=1) + q * ties
         counts[rows] = m - k + 1 + ties
     return sums, counts
+
+
+def _running_tails(window, gamma):
+    """For every prefix ``j = 1..w`` of ``window``: its ``ceil(gamma * j)``-th
+    smallest value ``q_j``, and the sum and count of its values ``>= q_j``.
+
+    One pass with two heaps of stable ranks: ``lo`` (a max-heap) holds the
+    ``ceil(gamma * j)`` smallest, ``hi`` the rest, with a running sum of the
+    values in ``hi``.  The values tied with ``q_j`` in the prefix hold
+    consecutive ranks, so the number of them in ``lo`` is ``q_j``'s rank minus
+    the first rank of its value, plus one.  O(w log w) time, O(w) memory.
+    """
+    order = np.argsort(window, kind="stable")
+    ranked = window[order]
+    ranks = np.empty(window.size, dtype=np.intp)
+    ranks[order] = np.arange(window.size)
+    j = np.arange(1, window.size + 1)
+    k = np.ceil(gamma * j).astype(np.intp)
+    grows = np.diff(k, prepend=0).astype(bool).tolist()
+    values = ranked.tolist()
+    lo, hi = [], []
+    hi_sum = 0.0
+    q_rank, hi_sums = [], []
+    push, pushpop = heapq.heappush, heapq.heappushpop
+    for r, grow in zip(ranks.tolist(), grows):
+        if grow:
+            moved = pushpop(hi, r)
+            push(lo, -moved)
+            if moved != r:
+                hi_sum += values[r] - values[moved]
+        else:
+            moved = -pushpop(lo, -r)
+            push(hi, moved)
+            hi_sum += values[moved]
+        q_rank.append(-lo[0])
+        hi_sums.append(hi_sum)
+    q_rank = np.array(q_rank, dtype=np.intp)
+    q = ranked[q_rank]
+    first = np.searchsorted(ranked, q, side="left")
+    ties = q_rank - first + 1
+    return q, np.array(hi_sums) + q * ties, j - k + ties
 
 
 @dataclass(frozen=True)
@@ -229,6 +278,10 @@ class _Quantile(FunctionalEstimator):
         for rows, block in _partitioned_windows(x, starts, m, k):
             out[rows] = block[:, k - 1]
         return out
+
+    def prefix_estimates(self, window):
+        q, _, _ = _running_tails(np.asarray(window, dtype=float), self.gamma)
+        return q
 
 
 def cvar_min_window(gamma: float) -> int:
@@ -267,6 +320,12 @@ class _CVaRSum(FunctionalEstimator):
         sums, _ = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
         return sums / (m * (1.0 - self.gamma))
 
+    def prefix_estimates(self, window):
+        _, sums, _ = _running_tails(np.asarray(window, dtype=float), self.gamma)
+        out = sums / (np.arange(1, sums.size + 1) * (1.0 - self.gamma))
+        out[: self.min_window - 1] = np.nan
+        return out
+
 
 @dataclass(frozen=True)
 class _CVaRTailMean(FunctionalEstimator):
@@ -293,6 +352,12 @@ class _CVaRTailMean(FunctionalEstimator):
     def sliding_estimates(self, x, starts, m):
         sums, counts = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
         return sums / counts
+
+    def prefix_estimates(self, window):
+        _, sums, counts = _running_tails(np.asarray(window, dtype=float), self.gamma)
+        out = sums / counts
+        out[: self.min_window - 1] = np.nan
+        return out
 
 
 def mean_estimator() -> FunctionalEstimator:

@@ -48,23 +48,29 @@ class TimeSeriesData:
 
 
 def load_series(path: str | Path) -> TimeSeriesData:
-    """Read a dataset file: one decimal per line, ``#`` comments and blanks ignored."""
-    values = []
+    """Read a dataset file: one decimal per line, ``#`` comments and blanks ignored.
+
+    A line holds exactly what ``float()`` accepts, surrounding whitespace
+    included; an error names the first line that does not.
+    """
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: not a decimal observation: {line!r}",
-                    line_number=lineno,
-                ) from None
-    if len(values) < 2:
+        lines = list(map(str.strip, fh.read().split("\n")))
+    try:
+        values = np.array([line for line in lines if line and line[0] != "#"], dtype=float)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=1):
+            if line and line[0] != "#":
+                try:
+                    float(line)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: not a decimal observation: {line!r}",
+                        line_number=lineno,
+                    ) from None
+        raise
+    if values.size < 2:
         raise DataFormatError(f"{path}: fewer than 2 observations")
-    return TimeSeriesData(np.asarray(values))
+    return TimeSeriesData(values)
 
 
 @dataclass(frozen=True)

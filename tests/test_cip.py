@@ -131,6 +131,24 @@ def test_var_ob3_nhpp_makes_no_prefix_estimate_calls(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("tag", ["quantile:0.9", "cvar:0.7", "cvartail:0.9"])
+def test_var_ob3_plugin_prefix_kernel_matches_generic(tag, tied, monkeypatch):
+    gen = np.random.default_rng(8)
+    x = gen.integers(0, 6, 400).astype(float) if tied else gen.standard_normal(400)
+    data, lay = TimeSeriesData(x), make_layout(400, 60, 7)
+    est = functionals.parse_estimator_tag(tag)
+    fast = var_ob3(data, lay, est).value
+    # the base-class loop calls estimate() on every prefix
+    monkeypatch.setattr(type(est), "prefix_estimates", functionals.FunctionalEstimator.prefix_estimates)
+    slow = var_ob3(data, lay, est).value
+    assert fast > 0
+    if tag.startswith("quantile") or tied:
+        assert fast == slow
+    else:
+        assert fast == pytest.approx(slow, rel=1e-10)
+
+
 @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=8, max_size=60))
 @settings(max_examples=60)
 def test_var_ob1_nonnegative_finite(values):

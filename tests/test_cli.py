@@ -254,6 +254,19 @@ def test_ci_low_reps_is_a_usage_error_before_loading(tmp_path, capsys, monkeypat
     assert len(_error_lines(capsys)) == 1
 
 
+def test_ci_bad_estimator_is_a_usage_error_before_loading(tmp_path, capsys, monkeypatch):
+    def unexpected(path):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(cli, "load_series", unexpected)
+    capsys.readouterr()
+    assert main([
+        "ci", "--method", "ob3", "--m", "250", "--d", "1", "--estimator", "quantile:1.5",
+        "--data", str(tmp_path / "data.txt"), "--reps", "10000",
+    ]) == EXIT_USAGE
+    assert len(_error_lines(capsys)) == 1
+
+
 @pytest.mark.parametrize("table", ["missing", "bad-header", "no-entry"])
 def test_ci_unusable_table_is_a_parse_error(tmp_path, capsys, table):
     data_file = tmp_path / "data.txt"

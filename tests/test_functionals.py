@@ -272,3 +272,37 @@ def test_plugin_sliding_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 0.9, 0.95])
+@pytest.mark.parametrize("kind", ["quantile", "cvar", "cvartail"])
+def test_plugin_prefix_estimates_match_estimate_loop(kind, gamma):
+    # the running order-statistic kernel against the base-class loop over
+    # estimate(): the quantile is the same selected value, and on small
+    # integers (ties) every sum is exact; on continuous data only the
+    # summation order differs
+    est = parse_estimator_tag(f"{kind}:{gamma}")
+    gen = np.random.default_rng(29)
+    for m in range(1, 41):
+        for tied in (False, True):
+            window = gen.integers(0, 4, m).astype(float) if tied else gen.standard_normal(m)
+            fast = est.prefix_estimates(window)
+            slow = FunctionalEstimator.prefix_estimates(est, window)
+            assert np.array_equal(np.isnan(fast), np.isnan(slow)), (m, tied)
+            defined = ~np.isnan(slow)
+            if kind == "quantile" or tied:
+                assert np.array_equal(fast[defined], slow[defined]), (m, tied)
+            else:
+                np.testing.assert_allclose(fast[defined], slow[defined], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("tag", ["quantile:0.9", "cvar:0.9", "cvartail:0.9"])
+def test_plugin_prefix_estimates_make_no_estimate_calls(tag, rng, monkeypatch):
+    est = parse_estimator_tag(tag)
+
+    def unexpected(self, window):
+        raise AssertionError("estimate was called")
+
+    monkeypatch.setattr(type(est), "estimate", unexpected)
+    prefixes = est.prefix_estimates(rng.standard_normal(250))
+    assert np.isnan(prefixes).sum() == est.min_window - 1

@@ -135,3 +135,42 @@ def test_load_series_names_bad_line(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_series(f)
     assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("1.5\r\n-2\r\n", [1.5, -2.0]),
+        ("\t 3.25  \n  # a comment line\n4e-1\n\n", [3.25, 0.4]),
+        ("1_000\n+.5\n-0.0", [1000.0, 0.5, -0.0]),
+    ],
+)
+def test_load_series_accepts_what_float_accepts(tmp_path, text, expected):
+    f = tmp_path / "data.txt"
+    f.write_bytes(text.encode())
+    values = load_series(f).values
+    assert values.tolist() == expected
+    assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("1.0\n1.5 # inline comment\n", 2),
+        ("1.0\n\n# comment\n1 2\n3.0\n", 4),
+        ("1.0\r\n2.0\r\noops\r\n", 3),
+    ],
+)
+def test_load_series_rejects_what_float_rejects(tmp_path, text, line):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(text.encode())
+    with pytest.raises(DataFormatError) as err:
+        load_series(f)
+    assert err.value.line_number == line
+
+
+def test_load_series_rejects_nan(tmp_path):
+    f = tmp_path / "nan.txt"
+    f.write_text("1.0\nnan\n2.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_series(f)
