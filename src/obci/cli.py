@@ -119,13 +119,18 @@ def _resolve_table_path(path: str) -> Path:
 
 def _run_ci(args: argparse.Namespace) -> int:
     _echo(args)
-    if args.method != "ss" and not args.table:
-        # the Monte Carlo source would reject it only after the batch estimates
-        try:
-            limits._require_replications(args.reps)
-        except ValueError as exc:
-            print(f"ci: --reps {args.reps}: {exc}", file=sys.stderr)
+    if args.method != "ss":
+        # usage errors before the data file is read
+        if args.m is None or args.d is None:
+            print("ci: --m and --d are required for OB methods", file=sys.stderr)
             return EXIT_USAGE
+        if not args.table:
+            # the Monte Carlo source would reject it only after the batch estimates
+            try:
+                limits._require_replications(args.reps)
+            except ValueError as exc:
+                print(f"ci: --reps {args.reps}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     try:
         estimator = parse_estimator_tag(args.estimator)
     except ValueError as exc:
@@ -140,9 +145,6 @@ def _run_ci(args: argparse.Namespace) -> int:
         if args.method == "ss":
             result = subsampling_interval(data, estimator, args.alpha)
         else:
-            if args.m is None or args.d is None:
-                print("ci: --m and --d are required for OB methods", file=sys.stderr)
-                return EXIT_USAGE
             if args.table:
                 try:
                     table = CriticalValueTable.from_csv(_resolve_table_path(args.table))

@@ -5,6 +5,13 @@ OB-II / OB-III limit random variables (joint numerator and chi-square draws
 from a single Wiener path), the critical-value engine with its CSV table
 format, and the closed-form OB-I asymptotic moment expressions.
 
+Every draw goes through one pipeline (``_draw_block``).  Paths are drawn a
+chunk of rows at a time, about ``_CHUNK_BYTES`` (1 MiB) of them, and every
+cell that shares their horizon is evaluated on the chunk while it is still in
+cache; only the per-row (numerator, chi2) pairs are kept.  Memory therefore
+stays near one chunk and its temporaries whatever the replication count, and
+a row's values do not depend on the chunking or on the worker count.
+
 Every Studentized draw takes its numerator and denominator from the same
 path, and stream r maps to row r of every cell.  Only OB-II needs the joint
 draw for correctness: its numerator is correlated with its chi-square
@@ -23,7 +30,9 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -69,9 +78,8 @@ METHODS = ("ob1", "ob2", "ob3")
 METHOD_LABELS = {"ob1": "OB-I", "ob2": "OB-II", "ob3": "OB-III"}
 LABEL_METHODS = {v: k for k, v in METHOD_LABELS.items()}
 
-# Memory budget per Wiener block; rows adapt to the path length.
-_BLOCK_BYTES = 1.6e8
-# Row chunk of a block that an evaluator works on at once (fits in L2 cache).
+# Paths drawn and evaluated at once: a chunk of rows this size stays in L2
+# cache while every cell reads it.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -202,13 +210,25 @@ def kappa2(beta: float, b_inf: float = INFINITE) -> float:
 # ---------------------------------------------------------------------------
 # Block evaluators.  Each maps a matrix of Wiener paths (rows) to the joint
 # (numerator, chi2) arrays of one limit law.  All batching geometry is taken
-# at the grid's own resolution so the Gaussian increments are exact.
+# at the grid's own resolution so the Gaussian increments are exact.  A row's
+# values never depend on the other rows of the matrix, so paths may be
+# evaluated in chunks of any number of rows.
 # ---------------------------------------------------------------------------
 
 
 def _finite_starts(grid_span: int, b: int) -> np.ndarray:
     """Grid indices of the b batch anchors c_j = (j-1) * span / (b-1)."""
     return np.rint(np.arange(b) * grid_span / (b - 1)).astype(np.int64)
+
+
+def _ordered_row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of ``a`` accumulated left to right, in any memory order.
+
+    Sums over batch anchors use this.  numpy's reductions accumulate the
+    column-major arrays that anchor indexing gives in this order, but switch
+    to pairwise or SIMD sums on a single row, which is contiguous either way.
+    """
+    return np.cumsum(a, axis=1)[:, -1]
 
 
 def _obi_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +246,7 @@ def _obi_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np.
         b = int(b_inf)
         cs = _finite_starts(n - k, b)
         d = w[:, cs + k] - w[:, cs] - bd * w1[:, None]
-        chi = scale * np.einsum("ij,ij->i", d, d) / (bd * b)
+        chi = scale * _ordered_row_sums(d * d) / (bd * b)
     return w1.copy(), chi
 
 
@@ -245,9 +265,9 @@ def _obii_pair(w: np.ndarray, beta: float, b_inf: float) -> tuple[np.ndarray, np
         b = int(b_inf)
         cs = _finite_starts(n - k, b)
         wt = w[:, cs + k] - w[:, cs]
-        mean = wt.mean(axis=1)
+        mean = _ordered_row_sums(wt) / b
         wt -= mean[:, None]
-        chi = np.einsum("ij,ij->i", wt, wt) / (kappa2(bd, b) * bd * b)
+        chi = _ordered_row_sums(wt * wt) / (kappa2(bd, b) * bd * b)
         num = mean / bd
     return num, chi
 
@@ -262,30 +282,20 @@ def _obiii_pair(
         half = (cpu - 1) / (2.0 * cpu)  # left-endpoint mean of v over the window
         if _is_infinite(b_inf):
             lo, hi = slice(0, m - cpu), slice(cpu, m)
-            area = np.empty((w.shape[0], m - cpu))
         else:
             lo = _finite_starts(m - cpu, int(b_inf))
             hi = lo + cpu
-            # column-major, as indexing ``s[:, hi]`` would give: the row sums
-            # of squares below depend on the memory order, not only the values
-            area = np.empty((w.shape[0], lo.size), order="F")
-        # a few rows at a time, so that the prefix sums and temporaries stay
-        # in cache; every step is elementwise or along a row, so the values
-        # do not depend on the chunking
-        step = max(1, _CHUNK_BYTES // (8 * (m + 1)))
-        for r in range(0, w.shape[0], step):
-            wr = w[r : r + step]
-            s = np.empty_like(wr)
-            s[:, 0] = 0.0
-            np.cumsum(wr[:, :-1], axis=1, out=s[:, 1:])
-            s /= cpu
-            a = area[r : r + step]
-            np.subtract(s[:, hi], s[:, lo], out=a)
-            a -= wr[:, lo]
-            rise = wr[:, hi] - wr[:, lo]
-            rise *= half
-            a -= rise
-            a *= weight.constant
+        s = np.empty_like(w)
+        s[:, 0] = 0.0
+        np.cumsum(w[:, :-1], axis=1, out=s[:, 1:])
+        s /= cpu
+        area = s[:, hi] - s[:, lo]
+        area -= w[:, lo]
+        # into the spent prefix sums, to save a chunk-sized temporary
+        rise = np.subtract(w[:, hi], w[:, lo], out=s[:, : area.shape[1]])
+        rise *= half
+        area -= rise
+        area *= weight.constant
     else:
         fvals = np.asarray(weight.fn(np.arange(cpu) / cpu), dtype=float)
         fbar = fvals.mean()
@@ -299,8 +309,11 @@ def _obiii_pair(
         else:
             idx = _finite_starts(m - cpu, int(b_inf))
         area = conv[:, idx] - w[:, idx] * fbar - (w[:, idx + cpu] - w[:, idx]) * fv
-    chi = np.einsum("ij,ij->i", area, area) / area.shape[1]
-    return num, chi
+    if _is_infinite(b_inf) and weight.constant is not None:
+        chi = np.einsum("ij,ij->i", area, area)  # contiguous windows, one row at a time
+    else:
+        chi = _ordered_row_sums(area * area)  # anchor-indexed columns
+    return num, chi / area.shape[1]
 
 
 def _horizon_cells(method: str, beta: float, grid_count: int) -> int:
@@ -324,6 +337,28 @@ def _evaluate_block(
 Cell = tuple[str, BatchAsymptotics]
 
 
+def _draw_chunk(
+    cells: Sequence[Cell],
+    horizon: int,
+    grid_count: int,
+    master_seed: int,
+    weight: WeightFunction | None,
+    stream_lo: int,
+    rows: int,
+    out: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw one chunk of ``horizon``-cell paths and evaluate every cell on it.
+
+    The paths go into ``out`` when given.  The evaluators only read the chunk,
+    so the cells share it unchanged.
+    """
+    w = wiener_block(horizon, 1.0 / grid_count, master_seed, stream_lo, rows, out=out)
+    return [
+        _evaluate_block(method, w, asym.beta, asym.b_inf, grid_count, weight)
+        for method, asym in cells
+    ]
+
+
 def _draw_block(
     cells: Sequence[Cell],
     horizon: int,
@@ -332,20 +367,31 @@ def _draw_block(
     stream_lo: int,
     rows: int,
     weight: WeightFunction | None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw one block of ``horizon``-cell paths and evaluate every cell on it.
+    """Joint draws of every cell on paths ``stream_lo`` to ``stream_lo + rows - 1``.
 
-    The evaluators only read the block, so the cells share it unchanged.
+    The paths are drawn and evaluated in chunks of about ``_CHUNK_BYTES``, and
+    only the per-row (numerator, chi2) pairs are kept, so memory is bounded by
+    the chunk, not by ``rows``.  The chunks depend on the path length alone; a
+    process pool, if given, runs each one as a task.
     """
-    w = wiener_block(horizon, 1.0 / grid_count, master_seed, stream_lo, rows)
+    step = max(1, _CHUNK_BYTES // (8 * (horizon + 1)))
+    starts = range(stream_lo, stream_lo + rows, step)
+    sizes = [min(step, stream_lo + rows - lo) for lo in starts]
+    draw = partial(_draw_chunk, cells, horizon, grid_count, master_seed, weight)
+    if pool is None:
+        # one path buffer for every chunk: with a new one, and more chunk-sized
+        # temporaries, each chunk the allocator hands memory back to the system
+        # and faults it in again (350,000 page faults for one OB-III group)
+        buf = np.empty((sizes[0], horizon + 1))
+        chunks = (draw(lo, n, buf[:n]) for lo, n in zip(starts, sizes))
+    else:
+        chunks = pool.map(draw, starts, sizes)
     return [
-        _evaluate_block(method, w, asym.beta, asym.b_inf, grid_count, weight)
-        for method, asym in cells
+        (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
+        for parts in zip(*chunks)
     ]
-
-
-def _draw_block_star(args):
-    return _draw_block(*args)
 
 
 def _require_large_batch(asym: BatchAsymptotics) -> None:
@@ -366,8 +412,8 @@ def _draw_cells(
     """Joint (numerator, chi2) draws for every cell, one path set per horizon.
 
     Cells whose paths have the same length (every ob1/ob2 cell, and ob3 cells
-    of equal beta) are evaluated on the same blocks: replication r of each
-    cell uses stream r, exactly as if the cell were drawn alone.
+    of equal beta) are evaluated on the same chunks of paths: replication r of
+    each cell uses stream r, exactly as if the cell were drawn alone.
     """
     groups: dict[int, list[Cell]] = {}
     for method, asym in dict.fromkeys(cells):
@@ -375,27 +421,15 @@ def _draw_cells(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         groups.setdefault(_horizon_cells(method, asym.beta, grid_count), []).append((method, asym))
-    tasks = []
-    for horizon, group in groups.items():
-        # block rows depend on the path length only, never on ``workers``
-        rows = max(16, min(4096, int(_BLOCK_BYTES / (8 * (horizon + 1)))))
-        tasks += [
-            (group, horizon, grid_count, master_seed, lo, min(rows, replications - lo), weight)
-            for lo in range(0, replications, rows)
-        ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_draw_block_star, tasks))
-    else:
-        results = [_draw_block_star(t) for t in tasks]
-    parts: dict[Cell, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for task, pairs in zip(tasks, results):
-        for cell, pair in zip(task[0], pairs):
-            parts.setdefault(cell, []).append(pair)
-    return {
-        cell: (np.concatenate([p[0] for p in ps]), np.concatenate([p[1] for p in ps]))
-        for cell, ps in parts.items()
-    }
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        return {
+            cell: pair
+            for horizon, group in groups.items()
+            for cell, pair in zip(
+                group,
+                _draw_block(group, horizon, grid_count, master_seed, 0, replications, weight, pool),
+            )
+        }
 
 
 def _single_sample(
@@ -470,8 +504,9 @@ def draw_limit_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``replications`` joint limit samples, one stream per replication.
 
-    Work is split into fixed-size blocks whose composition does not depend on
-    ``workers``, so results are bit-identical for any worker count.
+    Work is split into chunks of rows whose composition does not depend on
+    ``workers``, and a row's values do not depend on its chunk, so results
+    are bit-identical for any worker count.
     """
     cell = (method, asym)
     return _draw_cells([cell], replications, grid_count, master_seed, weight, workers)[cell]

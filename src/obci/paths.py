@@ -98,13 +98,15 @@ def wiener_block(
     stream_lo: int,
     rows: int,
     dtype=np.float64,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Simulate ``rows`` Wiener paths, row ``r`` drawn from stream ``stream_lo + r``.
 
     Returns an array of shape ``(rows, grid_count + 1)`` whose columns are the
-    path values on the grid with spacing ``step``.
+    path values on the grid with spacing ``step``; it is ``out`` when given,
+    a C-contiguous array of that shape and of type ``dtype``.
     """
-    z = np.empty((rows, grid_count + 1), dtype=dtype)
+    z = np.empty((rows, grid_count + 1), dtype=dtype) if out is None else out
     z[:, 0] = 0.0
     # one bit generator, rekeyed per row: the same streams as a fresh
     # generator per row, without constructing one for each

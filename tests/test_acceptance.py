@@ -67,7 +67,8 @@ def test_criterion_1_critical_values_vs_published():
         failures.append(f"OB-I(0.2,51,0.95)={cv_obi_02:.4f} not within 1.893+/-0.02")
     if abs(cv_obii_02 - 1.902) > 0.02:
         # theorem-faithful OB-II numerator has variance 1.125 at this shape,
-        # placing the quantile near 2.00; see the decisions ledger
+        # placing the quantile near 2.00; see README, "Known deviations from
+        # the published tables"
         failures.append(f"OB-II(0.2,51,0.95)={cv_obii_02:.4f} not within 1.902+/-0.02")
     if cv_zero != stats.norm.ppf(0.95) or abs(cv_zero - 1.6449) > 5e-5:
         failures.append(f"beta=0 dispatch {cv_zero!r} is not the exact normal quantile")
@@ -203,7 +204,8 @@ def test_criterion_6a_cvar_gamma07(cv_source):
         failures.append(f"OB-I half-width {obi.mean_half_width:.4f} not within 0.070+/-0.005")
     if abs(ss.coverage - 0.956) > 0.012:
         # the published SS column is only approached, not matched, by the
-        # non-Studentized subsampling roots; see the decisions ledger
+        # non-Studentized subsampling roots; see README, "Known deviations
+        # from the published tables"
         failures.append(f"SS coverage {ss.coverage:.4f} not within 0.956+/-0.012")
     if elapsed > 600:
         failures.append(f"cell runtime {elapsed:.0f}s exceeds 10 minutes")
@@ -259,11 +261,10 @@ def test_criterion_6d_ar1_phi09(cv_source):
     ss = coverage_experiment(gen, truth, est, MethodConfig(method="ss"), REPS_COVERAGE, 7640)
     failures: list[str] = []
     if abs(obi.coverage - 0.934) > 0.015:
-        # the published AR(1) phi=0.9 cells imply an estimator scale ~10x the
-        # classical least-squares asymptotics; irreproducible as described
-        # (decisions ledger)
         failures.append(f"OB-I coverage {obi.coverage:.4f} not within 0.934+/-0.015")
     if abs(ss.coverage - 0.438) > 0.02:
+        # no subsampling variant tried comes near the published SS cell; see
+        # README, "Known deviations from the published tables"
         failures.append(f"SS coverage {ss.coverage:.4f} not within 0.438+/-0.02")
     _finish(
         "6d",

@@ -267,6 +267,22 @@ def test_ci_bad_estimator_is_a_usage_error_before_loading(tmp_path, capsys, monk
     assert len(_error_lines(capsys)) == 1
 
 
+@pytest.mark.parametrize("missing", ["--m", "--d"])
+def test_ci_missing_batch_size_is_a_usage_error_before_loading(tmp_path, capsys, monkeypatch, missing):
+    def unexpected(path):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr(cli, "load_series", unexpected)
+    given = {"--m": "15", "--d": "1"}
+    del given[missing]
+    capsys.readouterr()
+    assert main([
+        "ci", "--method", "ob1", "--estimator", "mean", "--data", str(tmp_path / "data.txt"),
+        *[arg for item in given.items() for arg in item],
+    ]) == EXIT_USAGE
+    assert _error_lines(capsys) == ["ci: --m and --d are required for OB methods"]
+
+
 @pytest.mark.parametrize("table", ["missing", "bad-header", "no-entry"])
 def test_ci_unusable_table_is_a_parse_error(tmp_path, capsys, table):
     data_file = tmp_path / "data.txt"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,15 +253,49 @@ def test_obi_obii_in_place_match_out_of_place_expressions(b_inf):
     assert np.array_equal(num, mean / bd) and np.array_equal(chi, ob2_chi)
 
 
-@pytest.mark.parametrize("b_inf", [INFINITE, 10])
-def test_obiii_values_do_not_depend_on_row_chunking(monkeypatch, b_inf):
-    grid = 64
-    w = limits.wiener_block(2 * grid, 1.0 / grid, 45, 0, 9)
-    whole = _obiii_pair(w, 0.5, b_inf, grid, constant_sqrt12())
-    monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)  # one row at a time
-    by_row = _obiii_pair(w, 0.5, b_inf, grid, constant_sqrt12())
-    assert np.array_equal(whole[0], by_row[0])
-    assert np.array_equal(whole[1], by_row[1])
+# ob1/ob2/ob3 with infinite and finite b_inf; at grid 1024 a default chunk
+# holds 127 rows of an ob1/ob2 path and 63 of an ob3 path, and 300 is a
+# multiple of neither
+CHUNK_CELLS = [
+    (method, BatchAsymptotics(beta, b_inf))
+    for method, beta in (("ob1", 0.2), ("ob2", 0.25), ("ob3", 0.5))
+    for b_inf in (INFINITE, 4)
+]
+SAMPLERS = {"ob1": sample_obi_limit, "ob2": sample_obii_limit}
+
+
+@pytest.mark.parametrize(
+    "weight", [None, WeightFunction(lambda v: 1.0 + v, "linear")], ids=["sqrt12", "linear"]
+)
+def test_draw_cells_do_not_depend_on_row_chunking(monkeypatch, weight):
+    grid, seed, reps = 1024, 45, 300
+    chunked = limits._draw_cells(CHUNK_CELLS, reps, grid, seed, weight, 1)
+    monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)  # one row per chunk
+    by_row = limits._draw_cells(CHUNK_CELLS, reps, grid, seed, weight, 1)
+    for cell in CHUNK_CELLS:
+        assert np.array_equal(chunked[cell][0], by_row[cell][0])
+        assert np.array_equal(chunked[cell][1], by_row[cell][1])
+    # row r is the single draw from stream r, on both sides of chunk edges
+    for method, asym in CHUNK_CELLS:
+        nums, chis = chunked[(method, asym)]
+        for r in (0, 62, 63, 126, 127, reps - 1):
+            if method == "ob3":
+                one = sample_obiii_limit(asym, weight, SeedSpec(seed, r), grid_count=grid)
+            else:
+                one = SAMPLERS[method](asym, SeedSpec(seed, r), grid_count=grid)
+            assert (one.numerator, one.chi2) == (nums[r], chis[r])
+
+
+def test_critical_values_memory_is_bounded_by_the_chunk():
+    # a whole 10^4 x 1025 block would take 78 MiB
+    cells = [("ob1", BatchAsymptotics(0.1)), ("ob2", BatchAsymptotics(0.2, 51))]
+    tracemalloc.start()
+    try:
+        critical_values(cells, [0.95], 10_000, 1024, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_weighting_condition_constant_weight():
