@@ -216,14 +216,11 @@ class TableCriticalValues:
     """Critical values looked up from a precomputed table (nearest beta)."""
 
     table: CriticalValueTable
-    warn_tolerance: float = 0.01
 
     def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float:
-        from scipy import stats
-
         if asym.beta == 0:
-            return float(stats.norm.ppf(q))
-        return self.table.lookup(method, asym.beta, asym.b_inf, q, self.warn_tolerance)
+            return critical_value(method, asym, q)
+        return self.table.lookup(method, asym.beta, asym.b_inf, q)
 
 
 def assemble_interval(

@@ -5,7 +5,11 @@ OB-II / OB-III limit random variables (joint numerator and chi-square draws
 from a single Wiener path), the critical-value engine with its CSV table
 format, and the closed-form OB-I asymptotic moment expressions.
 
-Every draw goes through one pipeline (``_draw_block``).  Paths are drawn a
+Every Monte Carlo critical value comes from one chain: ``critical_value`` is
+the one-cell, one-level case of ``critical_values``, which reads its
+quantiles from ``studentized_draws``, which takes its (numerator, chi2) pairs
+from ``draw_limit_samples``.  That groups the cells by path horizon and hands
+each group to one pipeline (``_draw_block``).  Paths are drawn a
 chunk of rows at a time, about ``_CHUNK_BYTES`` (1 MiB) of them, and every
 cell that shares their horizon is evaluated on the chunk while it is still in
 cache; only the per-row (numerator, chi2) pairs are kept.  Memory therefore
@@ -143,8 +147,8 @@ class WeightFunction:
     """Weighting function on [0, 1] for the weighted area estimator.
 
     Must satisfy the normalization E[(integral of f B)^2] = 1 for a standard
-    Brownian bridge B; ``weighting_condition_estimate`` checks it by Monte
-    Carlo.  ``constant`` is set when f is constant, enabling the O(path)
+    Brownian bridge B; ``weighting_condition_estimate`` computes that
+    expectation.  ``constant`` is set when f is constant, enabling the O(path)
     evaluation route.
     """
 
@@ -158,26 +162,22 @@ def constant_sqrt12() -> WeightFunction:
     return WeightFunction(fn=_sqrt12, tag="constant-sqrt12", constant=math.sqrt(12.0))
 
 
-def weighting_condition_estimate(
-    weight: WeightFunction,
-    replications: int = 20_000,
-    grid_count: int = DEFAULT_GRID,
-    master_seed: int = 1771,
-) -> float:
-    """Monte Carlo estimate of E[(integral_0^1 f(t) B(t) dt)^2].
+def weighting_condition_estimate(weight: WeightFunction) -> float:
+    """E[(integral_0^1 f(t) B(t) dt)^2] for a standard Brownian bridge B.
 
-    A valid weight keeps this within a few percent of 1.
+    The integral equals integral_0^1 h(u) dW(u) with
+    h(u) = integral_u^1 f - integral_0^1 s f(s) ds, so the expectation is
+    integral_0^1 h(u)^2 du.  Both integrals are 64-node Gauss-Legendre
+    rules, the inner one on [u, 1]; for a smooth f the result is exact to
+    rounding.  A valid weight gives 1.
     """
-    fvals = np.asarray(weight.fn(np.arange(grid_count) / grid_count), dtype=float)
-    total = 0.0
-    for lo in range(0, replications, 4096):
-        rows = min(4096, replications - lo)
-        w = wiener_block(grid_count, 1.0 / grid_count, master_seed, lo, rows)
-        v = np.arange(grid_count) / grid_count
-        bridge = w[:, :grid_count] - v * w[:, grid_count][:, None]
-        vals = bridge @ fvals / grid_count
-        total += float(np.sum(vals**2))
-    return total / replications
+    x, wx = np.polynomial.legendre.leggauss(64)
+    u, wu = (x + 1.0) / 2.0, wx / 2.0  # nodes and weights on [0, 1]
+    inner = u[:, None] + (1.0 - u[:, None]) * u  # row i: the nodes on [u_i, 1]
+    f = np.asarray(weight.fn(np.concatenate([u, inner.ravel()])), dtype=float)
+    f_u, f_inner = f[: u.size], f[u.size :].reshape(inner.shape)
+    h = (1.0 - u) * (f_inner @ wu) - wu @ (u * f_u)
+    return float(wu @ (h * h))
 
 
 def kappa1(beta: float) -> float:
@@ -401,37 +401,6 @@ def _require_large_batch(asym: BatchAsymptotics) -> None:
         )
 
 
-def _draw_cells(
-    cells: Sequence[Cell],
-    replications: int,
-    grid_count: int,
-    master_seed: int,
-    weight: WeightFunction | None,
-    workers: int,
-) -> dict[Cell, tuple[np.ndarray, np.ndarray]]:
-    """Joint (numerator, chi2) draws for every cell, one path set per horizon.
-
-    Cells whose paths have the same length (every ob1/ob2 cell, and ob3 cells
-    of equal beta) are evaluated on the same chunks of paths: replication r of
-    each cell uses stream r, exactly as if the cell were drawn alone.
-    """
-    groups: dict[int, list[Cell]] = {}
-    for method, asym in dict.fromkeys(cells):
-        _require_large_batch(asym)
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        groups.setdefault(_horizon_cells(method, asym.beta, grid_count), []).append((method, asym))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        return {
-            cell: pair
-            for horizon, group in groups.items()
-            for cell, pair in zip(
-                group,
-                _draw_block(group, horizon, grid_count, master_seed, 0, replications, weight, pool),
-            )
-        }
-
-
 def _single_sample(
     method: str,
     asym: BatchAsymptotics,
@@ -494,22 +463,37 @@ def sample_obiii_limit(
 
 
 def draw_limit_samples(
-    method: str,
-    asym: BatchAsymptotics,
+    cells: Sequence[Cell],
     replications: int,
     grid_count: int = DEFAULT_GRID,
     master_seed: int = 0,
     weight: WeightFunction | None = None,
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``replications`` joint limit samples, one stream per replication.
+) -> dict[Cell, tuple[np.ndarray, np.ndarray]]:
+    """Joint (numerator, chi2) draws for every ``(method, BatchAsymptotics)`` cell.
 
-    Work is split into chunks of rows whose composition does not depend on
+    Cells whose paths have the same length (every ob1/ob2 cell, and ob3 cells
+    of equal beta) are evaluated on the same chunks of paths: replication r of
+    each cell uses stream r, exactly as if the cell were drawn alone.  Work is
+    split into chunks of rows whose composition does not depend on
     ``workers``, and a row's values do not depend on its chunk, so results
     are bit-identical for any worker count.
     """
-    cell = (method, asym)
-    return _draw_cells([cell], replications, grid_count, master_seed, weight, workers)[cell]
+    groups: dict[int, list[Cell]] = {}
+    for method, asym in dict.fromkeys(cells):
+        _require_large_batch(asym)
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        groups.setdefault(_horizon_cells(method, asym.beta, grid_count), []).append((method, asym))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        return {
+            cell: pair
+            for horizon, group in groups.items()
+            for cell, pair in zip(
+                group,
+                _draw_block(group, horizon, grid_count, master_seed, 0, replications, weight, pool),
+            )
+        }
 
 
 def _require_replications(replications: int) -> None:
@@ -566,7 +550,7 @@ def studentized_draws(
     draws are then redrawn on their own, from fresh streams.
     """
     _require_replications(replications)
-    draws = _draw_cells(cells, replications, grid_count, master_seed, weight, workers)
+    draws = draw_limit_samples(cells, replications, grid_count, master_seed, weight, workers)
     return {
         (method, asym): _studentize(
             method, asym, nums, chis, replications, grid_count, master_seed, weight
@@ -600,8 +584,7 @@ def critical_values(
     Each cell's values are read from one set of Studentized draws, and cells
     on the same path horizon share their paths (see :func:`studentized_draws`).
     Small-batch cells (beta = 0) get standard normal quantiles.  The result
-    maps each cell to its values in the order of ``qs``; a cell's values equal
-    those of one :func:`critical_value` call per level.
+    maps each cell to its values in the order of ``qs``.
     """
     qs = list(qs)
     _check_levels(qs)
@@ -625,19 +608,12 @@ def critical_value(
 ) -> float:
     """q-quantile of the Studentized limit ``numerator / sqrt(chi2)``.
 
-    Small-batch procedures (beta = 0) dispatch to the standard normal
-    quantile.  Equal to the one-cell, one-level :func:`critical_values`.
-    It draws through :func:`draw_limit_samples`, keeping the
-    ``critical_value`` -> ``draw_limit_samples`` -> ``wiener_block`` call
-    chain that ``bench/spans.py`` traces.  Deterministic given all inputs.
+    The one-cell, one-level case of :func:`critical_values`: small-batch
+    procedures (beta = 0) get the standard normal quantile.  Deterministic
+    given all inputs.
     """
-    _check_levels([q])
-    if asym.beta == 0:
-        return float(stats.norm.ppf(q))
-    _require_replications(replications)
-    nums, chis = draw_limit_samples(method, asym, replications, grid_count, master_seed, weight, workers)
-    t = _studentize(method, asym, nums, chis, replications, grid_count, master_seed, weight)
-    return limit_quantiles(t, [q])[0]
+    cell = (method, asym)
+    return critical_values([cell], [q], replications, grid_count, master_seed, weight, workers)[cell][0]
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +621,9 @@ def critical_value(
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = ["method", "beta", "b_inf", "q", "value", "replications", "grid", "seed"]
+
+# A lookup farther than this from the nearest tabulated beta logs a warning.
+_BETA_WARN_TOLERANCE = 0.01
 
 
 def round_table_precision(value: float) -> float:
@@ -684,13 +663,11 @@ class CriticalValueTable:
             if any(b < a for a, b in zip(values, values[1:])):
                 raise ValueError(f"critical values not monotone in q for {key}")
 
-    def lookup(
-        self, method: str, beta: float, b_inf: float, q: float, warn_tolerance: float = 0.01
-    ) -> float:
+    def lookup(self, method: str, beta: float, b_inf: float, q: float) -> float:
         """Value at the nearest tabulated beta for exact (method, b_inf, q).
 
-        Warns when the nearest grid beta is more than ``warn_tolerance`` away
-        from the requested one.
+        Warns when the nearest grid beta is more than ``_BETA_WARN_TOLERANCE``
+        away from the requested one.
         """
         candidates = [
             e
@@ -703,7 +680,7 @@ class CriticalValueTable:
         if not candidates:
             raise KeyError(f"no table entry for ({method}, b_inf={b_inf}, q={q})")
         best = min(candidates, key=lambda e: abs(e.beta - beta))
-        if abs(best.beta - beta) > warn_tolerance:
+        if abs(best.beta - beta) > _BETA_WARN_TOLERANCE:
             logger.warning(
                 "nearest tabulated beta %.4g is %.4g away from requested %.4g",
                 best.beta,

@@ -144,7 +144,8 @@ def test_criterion_3_limit_normalization():
         if not 0.97 <= mean <= 1.03:
             failures.append(f"E[chi2 {method} beta={beta} b_inf={b_inf}] = {mean:.4f}")
     # the exactly computable case: E[chi2_OB-I(1/2, 2)] = 1
-    _, chis = draw_limit_samples("ob1", BatchAsymptotics(0.5, 2), R_LIMIT, GRID, 7200)
+    cell = ("ob1", BatchAsymptotics(0.5, 2))
+    _, chis = draw_limit_samples([cell], R_LIMIT, GRID, 7200)[cell]
     se = chis.std() / math.sqrt(chis.size)
     exact = abs(chis.mean() - 1.0)
     if exact > 4 * se:
@@ -155,7 +156,8 @@ def test_criterion_3_limit_normalization():
 
 
 def test_criterion_4_fully_overlapping_variance_oracle():
-    _, chis = draw_limit_samples("ob1", BatchAsymptotics(0.5, INFINITE), R_LIMIT, GRID, 7300)
+    cell = ("ob1", BatchAsymptotics(0.5, INFINITE))
+    _, chis = draw_limit_samples([cell], R_LIMIT, GRID, 7300)[cell]
     mc_var = float(chis.var())
     target = obi_variance_fully_overlapping(0.5, 1.0)
     failures: list[str] = []
@@ -333,10 +335,8 @@ def test_criterion_8_worker_determinism(tmp_path):
     if not (reports[0] == reports[1] == reports[2]):
         failures.append("coverage reports differ across worker counts")
 
-    draws = [
-        draw_limit_samples("ob3", BatchAsymptotics(0.5, 10), 4_096, 512, 810, workers=w)
-        for w in (1, 4, 16)
-    ]
+    cell = ("ob3", BatchAsymptotics(0.5, 10))
+    draws = [draw_limit_samples([cell], 4_096, 512, 810, workers=w)[cell] for w in (1, 4, 16)]
     if not all(
         np.array_equal(draws[0][i], d[i]) for d in draws[1:] for i in (0, 1)
     ):

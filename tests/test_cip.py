@@ -23,9 +23,20 @@ from obci import (
     var_ob2,
     var_ob3,
 )
-from obci import cip, functionals
-from obci.cip import MonteCarloCriticalValues, VarianceEstimate, assemble_interval
-from obci.limits import BatchAsymptotics, WeightFunction, critical_value
+from obci import cip, functionals, limits
+from obci.cip import (
+    MonteCarloCriticalValues,
+    TableCriticalValues,
+    VarianceEstimate,
+    assemble_interval,
+)
+from obci.limits import (
+    BatchAsymptotics,
+    CriticalValueTable,
+    WeightFunction,
+    critical_value,
+    critical_values,
+)
 from obci.series import BatchEstimates
 
 from conftest import StubCriticalValues
@@ -293,6 +304,28 @@ def test_monte_carlo_source_draws_each_cell_once(monkeypatch):
     assert source.critical_value("ob2", BatchAsymptotics(0.0), 0.95) == stats.norm.ppf(0.95)
     with pytest.raises(ValueError):
         source.critical_value("ob2", asym, 1.5)
+
+
+def test_every_critical_value_source_draws_through_one_chain(monkeypatch):
+    calls = []
+    original = limits.draw_limit_samples
+
+    def counting(cells, *args, **kwargs):
+        calls.append(list(cells))
+        return original(cells, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "draw_limit_samples", counting)
+    reps, grid, seed, q = 10_000, 32, 17, 0.95
+    ob1, ob2 = ("ob1", BatchAsymptotics(0.25, INFINITE)), ("ob2", BatchAsymptotics(0.25, 4))
+    one = critical_value(*ob1, q, reps, grid, seed)
+    both = critical_values([ob1, ob2], [q], reps, grid, seed)
+    source = MonteCarloCriticalValues(replications=reps, grid_count=grid, master_seed=seed)
+    assert source.critical_value(*ob1, q) == both[ob1][0] == one
+    assert calls == [[ob1], [ob1, ob2], [ob1]]
+    # beta = 0 takes the normal quantile from the same chain, with no draw
+    table = TableCriticalValues(CriticalValueTable())
+    assert table.critical_value("ob1", BatchAsymptotics(0.0), q) == stats.norm.ppf(q)
+    assert len(calls) == 3
 
 
 def test_interval_csv_line_format():

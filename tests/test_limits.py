@@ -109,15 +109,15 @@ def test_samplers_reject_small_batch_regime():
 
 def test_exact_mean_case_smoke():
     # E[chi2] = 1 exactly at (beta=1/2, b_inf=2); loose bound at small R
-    asym = BatchAsymptotics(beta=0.5, b_inf=2)
-    _, chis = draw_limit_samples("ob1", asym, 20_000, grid_count=512, master_seed=11)
+    cell = ("ob1", BatchAsymptotics(beta=0.5, b_inf=2))
+    _, chis = draw_limit_samples([cell], 20_000, grid_count=512, master_seed=11)[cell]
     assert abs(chis.mean() - 1.0) < 0.04
 
 
 def test_draws_identical_across_worker_counts():
-    asym = BatchAsymptotics(beta=0.25, b_inf=INFINITE)
-    a = draw_limit_samples("ob2", asym, 2_000, grid_count=128, master_seed=3, workers=1)
-    b = draw_limit_samples("ob2", asym, 2_000, grid_count=128, master_seed=3, workers=2)
+    cell = ("ob2", BatchAsymptotics(beta=0.25, b_inf=INFINITE))
+    a = draw_limit_samples([cell], 2_000, grid_count=128, master_seed=3, workers=1)[cell]
+    b = draw_limit_samples([cell], 2_000, grid_count=128, master_seed=3, workers=2)[cell]
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -191,7 +191,7 @@ def test_critical_values_redraws_zero_chi2_per_cell(monkeypatch, caplog):
     ob1, ob2 = ("ob1", asym), ("ob2", asym)
     plain_ob2 = limits.studentized_draws([ob2], reps, grid, seed)[ob2]
     monkeypatch.setattr(limits, "_evaluate_block", zero_large)
-    nums, chis = draw_limit_samples("ob1", asym, reps, grid, seed)
+    nums, chis = draw_limit_samples([ob1], reps, grid, seed)[ob1]
     bad = np.flatnonzero(chis <= 0.0)
     assert bad.size > 1000
     with caplog.at_level("WARNING", logger="obci.limits"):
@@ -269,9 +269,9 @@ SAMPLERS = {"ob1": sample_obi_limit, "ob2": sample_obii_limit}
 )
 def test_draw_cells_do_not_depend_on_row_chunking(monkeypatch, weight):
     grid, seed, reps = 1024, 45, 300
-    chunked = limits._draw_cells(CHUNK_CELLS, reps, grid, seed, weight, 1)
+    chunked = draw_limit_samples(CHUNK_CELLS, reps, grid, seed, weight, 1)
     monkeypatch.setattr(limits, "_CHUNK_BYTES", 1)  # one row per chunk
-    by_row = limits._draw_cells(CHUNK_CELLS, reps, grid, seed, weight, 1)
+    by_row = draw_limit_samples(CHUNK_CELLS, reps, grid, seed, weight, 1)
     for cell in CHUNK_CELLS:
         assert np.array_equal(chunked[cell][0], by_row[cell][0])
         assert np.array_equal(chunked[cell][1], by_row[cell][1])
@@ -299,8 +299,20 @@ def test_critical_values_memory_is_bounded_by_the_chunk():
 
 
 def test_weighting_condition_constant_weight():
-    est = weighting_condition_estimate(constant_sqrt12(), replications=20_000, grid_count=512)
-    assert 0.97 <= est <= 1.03
+    assert weighting_condition_estimate(constant_sqrt12()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "fn, exact",
+    [
+        (lambda v: 2.0 * math.sqrt(2.0) * math.pi * np.cos(2.0 * math.pi * v), 1.0),
+        (lambda v: 1.0 + v, 17.0 / 90.0),
+    ],
+    ids=["cosine", "linear"],
+)
+def test_weighting_condition_exact_values(fn, exact):
+    est = weighting_condition_estimate(WeightFunction(fn, "test"))
+    assert est == pytest.approx(exact, abs=1e-12)
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -29,17 +29,20 @@ R = 100_000
 
 @pytest.fixture(scope="module")
 def obi_draws():
-    return draw_limit_samples("ob1", BatchAsymptotics(0.25, INFINITE), R, master_seed=101)
+    cell = ("ob1", BatchAsymptotics(0.25, INFINITE))
+    return draw_limit_samples([cell], R, master_seed=101)[cell]
 
 
 @pytest.fixture(scope="module")
 def obii_draws():
-    return draw_limit_samples("ob2", BatchAsymptotics(0.25, INFINITE), R, master_seed=102)
+    cell = ("ob2", BatchAsymptotics(0.25, INFINITE))
+    return draw_limit_samples([cell], R, master_seed=102)[cell]
 
 
 @pytest.fixture(scope="module")
 def obiii_draws():
-    return draw_limit_samples("ob3", BatchAsymptotics(0.5, INFINITE), R, master_seed=103)
+    cell = ("ob3", BatchAsymptotics(0.5, INFINITE))
+    return draw_limit_samples([cell], R, master_seed=103)[cell]
 
 
 def _check_symmetry(nums, chis):
