@@ -22,6 +22,7 @@ from .limits import (
     BatchAsymptotics,
     CriticalValueTable,
     WeightFunction,
+    _check_levels,
     constant_sqrt12,
     critical_value,
     kappa1,
@@ -195,6 +196,7 @@ class MonteCarloCriticalValues:
     _draws: dict = field(default_factory=dict, repr=False)
 
     def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float:
+        _check_levels([q])  # before the draws, not after them
         if asym.beta == 0:
             return critical_value(method, asym, q)
         key = (method, asym.beta, asym.b_inf)

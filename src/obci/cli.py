@@ -216,15 +216,15 @@ def _run_coverage(args: argparse.Namespace) -> int:
     if args.study not in ("cvar", "ar1", "nhpp"):
         print(f"coverage: unknown study {args.study!r}", file=sys.stderr)
         return EXIT_USAGE
-    config = experiments.MethodConfig(
-        method=args.method, alpha=args.alpha, d=args.d,
-        beta_declared=None if args.method == "ss" else args.beta,
-    )
     cv_source = MonteCarloCriticalValues(
         replications=args.cv_reps, grid_count=args.grid,
         master_seed=args.cv_seed, workers=args.threads,
     )
     try:
+        config = experiments.MethodConfig(
+            method=args.method, alpha=args.alpha, d=args.d,
+            beta_declared=None if args.method == "ss" else args.beta,
+        )
         generator, truth, estimator = experiments.study_setup(
             args.study, args.n, gamma=args.gamma, phi=args.phi, t=args.t, delta=args.delta,
         )
@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.threads < 1:
+        print(f"{args.command}: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

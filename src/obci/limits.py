@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -462,6 +463,17 @@ def sample_obiii_limit(
     return _single_sample("ob3", asym, seed, path, grid_count, weight or constant_sqrt12())
 
 
+def _require_picklable(obj, label: str) -> None:
+    """Reject what worker processes cannot receive, before any pool starts."""
+    try:
+        pickle.dumps(obj)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ValueError(
+            f"{label} cannot be sent to worker processes ({exc}); "
+            "define its function at module level, not as a lambda or closure"
+        ) from None
+
+
 def draw_limit_samples(
     cells: Sequence[Cell],
     replications: int,
@@ -477,8 +489,11 @@ def draw_limit_samples(
     each cell uses stream r, exactly as if the cell were drawn alone.  Work is
     split into chunks of rows whose composition does not depend on
     ``workers``, and a row's values do not depend on its chunk, so results
-    are bit-identical for any worker count.
+    are bit-identical for any worker count.  With ``workers`` > 1 the
+    weight must pickle, as a module-level function does.
     """
+    if workers > 1 and weight is not None:
+        _require_picklable(weight, f"weight {weight.tag!r}")
     groups: dict[int, list[Cell]] = {}
     for method, asym in dict.fromkeys(cells):
         _require_large_batch(asym)

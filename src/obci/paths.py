@@ -9,6 +9,7 @@ scheduling or worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "WienerPath",
     "simulate_wiener",
     "bridge_weight_integral",
+    "stream_generators",
     "wiener_block",
 ]
 
@@ -91,6 +93,25 @@ class WienerPath:
         return float(self.values[self.grid_index(t)])
 
 
+def stream_generators(master_seed: int, stream_lo: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators at the start of streams ``stream_lo`` to ``stream_lo + count - 1``.
+
+    Each yielded generator draws exactly what ``SeedSpec(master_seed, r).generator()``
+    would.  It is one generator, rekeyed for each stream, so it must be done
+    with before the next is taken: rekeying costs a few microseconds, while a
+    new ``Philox`` first seeds itself from OS entropy only to have the key
+    replace it.
+    """
+    bits = np.random.Philox(key=SeedSpec(master_seed, stream_lo).key())
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for r in range(stream_lo, stream_lo + count):
+        if r != stream_lo:
+            fresh["state"]["key"] = SeedSpec(master_seed, r).key()
+            bits.state = fresh
+        yield gen
+
+
 def wiener_block(
     grid_count: int,
     step: float,
@@ -108,15 +129,7 @@ def wiener_block(
     """
     z = np.empty((rows, grid_count + 1), dtype=dtype) if out is None else out
     z[:, 0] = 0.0
-    # one bit generator, rekeyed per row: the same streams as a fresh
-    # generator per row, without constructing one for each
-    bits = np.random.Philox(key=SeedSpec(master_seed, stream_lo).key())
-    gen = np.random.Generator(bits)
-    fresh = bits.state
-    for r in range(rows):
-        if r:
-            fresh["state"]["key"] = SeedSpec(master_seed, stream_lo + r).key()
-            bits.state = fresh
+    for r, gen in enumerate(stream_generators(master_seed, stream_lo, rows)):
         gen.standard_normal(grid_count, out=z[r, 1:])
     # in place: a second rows x (grid_count + 1) buffer would double the block
     np.cumsum(z, axis=1, out=z)

@@ -328,6 +328,17 @@ def test_every_critical_value_source_draws_through_one_chain(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, 2.0])
+def test_monte_carlo_source_checks_the_level_before_drawing(monkeypatch, q):
+    calls = []
+    monkeypatch.setattr(limits, "draw_limit_samples", lambda *args: calls.append(args))
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=32)
+    for beta in (0.25, 0.0):
+        with pytest.raises(ValueError, match="quantile level"):
+            source.critical_value("ob1", BatchAsymptotics(beta), q)
+    assert calls == []
+
+
 def test_interval_csv_line_format():
     lay = make_layout(100, 25, 25)
     est = BatchEstimates(per_batch=np.zeros(4), sectioning=0.0)

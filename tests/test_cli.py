@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from obci import INFINITE, CriticalValueEntry, CriticalValueTable, SeedSpec, cli
+from obci import INFINITE, CriticalValueEntry, CriticalValueTable, SeedSpec, cli, experiments, limits
 from obci.cli import (
     EXIT_DEGENERATE_ESTIMATE,
     EXIT_DEGENERATE_INTERVAL,
@@ -307,3 +307,34 @@ def test_coverage_zero_reps_is_usage_error(capsys):
     capsys.readouterr()
     assert main(["coverage", "--study", "cvar", "--method", "ss", "--reps", "0"]) == EXIT_USAGE
     assert _error_lines(capsys) == ["coverage: at least one replication is required"]
+
+
+def test_coverage_bad_alpha_is_a_usage_error_before_drawing(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(limits, "draw_limit_samples", lambda *args: calls.append(args))
+    capsys.readouterr()
+    assert main(["coverage", "--study", "cvar", "--alpha", "2", "--reps", "10"]) == EXIT_USAGE
+    assert _error_lines(capsys) == ["coverage: alpha must lie in (0, 1)"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("command", ["critvals", "ci", "coverage"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, threads):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(cli, "critical_values"), (cli, "load_series"),
+                         (experiments, "coverage_experiment")]:
+        monkeypatch.setattr(module, name, unexpected)
+    argv = {
+        "critvals": ["--betas", "0.25", "--quantiles", "0.95", "--out", str(tmp_path / "t.csv")],
+        "ci": ["--method", "ob1", "--m", "15", "--d", "1", "--estimator", "mean",
+               "--data", str(tmp_path / "data.txt")],
+        "coverage": ["--study", "cvar", "--reps", "10"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--threads", threads]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: --threads must be at least 1, got {threads}"
+    ]

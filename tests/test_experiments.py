@@ -11,13 +11,19 @@ from obci import (
     GeneratorSpec,
     MethodConfig,
     SeedSpec,
+    ar1_estimator,
     coverage_experiment,
     generate,
     mean_estimator,
+    nhpp_rate_estimator,
     offset_sweep,
     study_setup,
 )
-from obci import cip
+from obci import cip, experiments, limits
+from obci.cip import build_interval
+from obci.errors import DegenerateEstimateError, DegenerateIntervalError
+from obci.experiments import _poisson_counts
+from obci.functionals import _WindowSum
 from obci.limits import WeightFunction
 
 from conftest import StubCriticalValues
@@ -55,6 +61,96 @@ def test_nhpp_increment_mean():
     target = 1e-4 * 6.0 + 4e-8  # exact integrated rate over [t, t + delta]
     se = np.sqrt(target / 1_000_000)
     assert abs(x.mean() - target) < 3 * se
+
+
+_POISSON_SEEDS = range(100)
+
+
+@pytest.mark.parametrize("lam", [6e-4, 0.005, 0.0099, 0.01, 0.1, 0.7, 3.0, 9.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 50_000])
+def test_poisson_counts_equal_generator_poisson(lam, n):
+    # both sides of the block rule: the counts, and where the stream is left
+    for s in _POISSON_SEEDS:
+        ours, numpys = SeedSpec(s, 3).generator(), SeedSpec(s, 3).generator()
+        assert np.array_equal(_poisson_counts(ours, lam, n), numpys.poisson(lam, n).astype(float))
+        assert ours.random() == numpys.random()
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 0.7, 3.0, 9.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 50_000])
+def test_poisson_block_walk_exact_up_to_mean_ten(monkeypatch, lam, n):
+    # the walk itself, where counts of several uniforms overrun the block;
+    # at n = 50,000 it takes ~n * lam Python steps, hence fewer seeds there
+    monkeypatch.setattr(experiments, "_POISSON_BLOCK_LAM", 10.0)
+    for s in _POISSON_SEEDS if n * lam <= 5000 else _POISSON_SEEDS[:3]:
+        ours, numpys = SeedSpec(s, 3).generator(), SeedSpec(s, 3).generator()
+        assert np.array_equal(_poisson_counts(ours, lam, n), numpys.poisson(lam, n).astype(float))
+        assert ours.random() == numpys.random()
+
+
+def test_generate_takes_a_generator_at_the_start_of_its_stream():
+    spec = GeneratorSpec.nhpp(3000, t=0.25, delta=1e-3)
+    by_key = generate(spec, SeedSpec(8, 2)).values
+    assert np.array_equal(generate(spec, SeedSpec(8, 2).generator()).values, by_key)
+
+
+@pytest.mark.parametrize("spec,truth,estimator,config", [
+    (GeneratorSpec.iid_normal(200), 0.0, mean_estimator(),
+     MethodConfig("ob1", m=50, d=10, beta_declared=0.25)),
+    (GeneratorSpec.ar1(200, phi=0.5), 0.5, ar1_estimator(),
+     MethodConfig("ob2", m=40, d=8, beta_declared=0.2)),
+    (GeneratorSpec.nhpp(2000, t=0.25, delta=1e-3), 6.0, nhpp_rate_estimator(1e-3),
+     MethodConfig("ob1", m=500, d=50, beta_declared=0.25)),
+], ids=["iid", "ar1", "nhpp"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coverage_matches_a_loop_over_generate(stub_cv, spec, truth, estimator, config, workers):
+    # 600 replications cross the 512-replication block
+    report = coverage_experiment(
+        spec, truth, estimator, config, 600, 41, cv_source=stub_cv, workers=workers
+    )
+    covered, na, widths = 0, 0, []
+    for r in range(600):
+        data = generate(spec, SeedSpec(41, r))
+        try:
+            interval = build_interval(
+                config.method, data, config.m, config.d, config.alpha, estimator, stub_cv,
+                beta_declared=config.beta_declared,
+            )
+        except (DegenerateEstimateError, DegenerateIntervalError):
+            na += 1
+            continue
+        covered += interval.covers(truth)
+        widths.append(interval.half_width)
+    assert (report.covered, report.na_count) == (covered, na)
+    assert report.mean_half_width == np.mean(widths)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.1])
+def test_method_config_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        MethodConfig("ob1", alpha=alpha)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+
+@pytest.mark.parametrize("bad", ["weight", "estimator"])
+def test_coverage_rejects_unpicklable_arguments_before_any_pool(monkeypatch, bad):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", _NoPool)
+    weight = WeightFunction(lambda v: 1.0 + v, "linear") if bad == "weight" else None
+    estimator = (
+        _WindowSum(tag="closure-mean", min_window=1, num=lambda x: x)
+        if bad == "estimator" else mean_estimator()
+    )
+    tag = "linear" if bad == "weight" else "closure-mean"
+    with pytest.raises(ValueError, match=f"{bad} '{tag}'.*module level"):
+        coverage_experiment(
+            GeneratorSpec.iid_normal(200), 0.0, estimator, MethodConfig("ob3", m=50, d=10),
+            600, 5, weight=weight, workers=2,
+        )
 
 
 def test_generator_validation():

@@ -114,6 +114,19 @@ def test_exact_mean_case_smoke():
     assert abs(chis.mean() - 1.0) < 0.04
 
 
+def test_unpicklable_weight_is_rejected_before_any_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", no_pool)
+    cell = ("ob3", BatchAsymptotics(0.5))
+    weight = WeightFunction(lambda v: 1.0 + v, "linear")
+    with pytest.raises(ValueError, match="weight 'linear'.*module level"):
+        draw_limit_samples([cell], 10_000, 128, 77, weight, workers=2)
+    with pytest.raises(ValueError, match="weight 'linear'"):
+        critical_value(*cell, 0.95, 10_000, 128, 77, weight, 2)
+
+
 def test_draws_identical_across_worker_counts():
     cell = ("ob2", BatchAsymptotics(beta=0.25, b_inf=INFINITE))
     a = draw_limit_samples([cell], 2_000, grid_count=128, master_seed=3, workers=1)[cell]

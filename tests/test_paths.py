@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from obci import SeedSpec, WienerPath, bridge_weight_integral, constant_sqrt12, simulate_wiener
-from obci.paths import wiener_block
+from obci.paths import stream_generators, wiener_block
 
 
 def test_single_increment_is_plain_normal_draw():
@@ -122,3 +122,12 @@ def test_bridge_integral_normalized_variance_and_mean():
             vals[lo + r] = bridge_weight_integral(path, 0.0, weight)
     assert 0.97 <= vals.var() <= 1.03
     assert abs(vals.mean()) <= 3.0 / np.sqrt(reps)
+
+
+def test_stream_generators_match_fresh_generators():
+    for r, gen in enumerate(stream_generators(99, 5, 4)):
+        fresh = SeedSpec(99, 5 + r).generator()
+        # a part-used buffer of the previous stream must not leak into the next
+        assert gen.random() == fresh.random()
+        assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+        assert gen.integers(1 << 30) == fresh.integers(1 << 30)
