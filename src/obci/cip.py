@@ -71,7 +71,7 @@ def var_ob1(est: BatchEstimates, layout: BatchLayout) -> VarianceEstimate:
     """Scaled batch sample variance around the sectioning estimate."""
     kap = kappa1(layout.beta_hat)
     dev = est.per_batch - est.sectioning
-    value = float(dev @ dev) * layout.m / layout.b / kap
+    value = float(np.dot(dev, dev)) * layout.m / layout.b / kap
     return VarianceEstimate(value=value, method="ob1", kappa_used=kap)
 
 
@@ -89,7 +89,7 @@ def var_ob2(
     if kap <= 0:
         raise DegenerateIntervalError(f"kappa2 is not positive for this geometry: {kap}")
     dev = est.per_batch - est.batching_mean
-    value = float(dev @ dev) * layout.m / layout.b / kap
+    value = float(np.dot(dev, dev)) * layout.m / layout.b / kap
     return VarianceEstimate(value=value, method="ob2", kappa_used=kap)
 
 
@@ -118,7 +118,7 @@ def var_ob3(
         batch_mean = (c[s + m] - c[s]) / m
         jsum = m * (m + 1) / 2.0
         terms = weight.constant * (inner - batch_mean * jsum) / (m * math.sqrt(m) * est.div)
-        value = float(terms @ terms) / layout.b
+        value = float(np.dot(terms, terms)) / layout.b
         return VarianceEstimate(value=value, method="ob3", kappa_used=1.0)
     j = np.arange(1, m + 1)
     fvals = np.asarray(weight.fn(j / m), dtype=float)

@@ -10,12 +10,9 @@ stricter ratio over all replications is kept alongside.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
-from scipy.signal import lfilter
 
 from .cip import (
     BatchAsymptotics,
@@ -32,7 +29,7 @@ from .functionals import (
     cvar_tail_mean_estimator,
     nhpp_rate_estimator,
 )
-from .limits import INFINITE, WeightFunction, _require_picklable
+from .limits import INFINITE, WeightFunction, _process_pool, _require_picklable, _require_workers
 from .paths import SeedSpec, stream_generators
 from .series import TimeSeriesData, batch_estimates, make_layout
 from .subsampling import subsampling_interval
@@ -178,6 +175,8 @@ def generate(spec: GeneratorSpec, seed: SeedSpec | np.random.Generator) -> TimeS
     if spec.kind == "iid_normal":
         values = gen.standard_normal(spec.n)
     elif spec.kind == "ar1":
+        from scipy.signal import lfilter
+
         eps = gen.standard_normal(spec.burn_in + spec.n) * spec.sigma_eps + spec.c
         series = lfilter([1.0], [1.0, -spec.phi], eps)
         values = series[spec.burn_in :]
@@ -301,6 +300,7 @@ def coverage_experiment(
     """
     if replications < 1:
         raise ValueError("at least one replication is required")
+    _require_workers(workers)
     if workers > 1:
         # every block task pickles both; fail here, not inside the pool
         _require_picklable(estimator, f"estimator {estimator.tag!r}")
@@ -327,11 +327,8 @@ def coverage_experiment(
          min(_REP_BLOCK, replications - lo))
         for lo in range(0, replications, _REP_BLOCK)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_block, blocks))
-    else:
-        results = [_replication_block(b) for b in blocks]
+    with _process_pool(workers) as pool:
+        results = list((pool.map if pool else map)(_replication_block, blocks))
     covered = np.concatenate([r[0] for r in results])
     na = np.concatenate([r[1] for r in results])
     hw = np.concatenate([r[2] for r in results])
@@ -405,6 +402,8 @@ def study_setup(
     phi.  nhpp: rate 4 + 8 t increments over delta, truth the rate at t.
     """
     if study == "cvar":
+        from scipy import stats
+
         q = float(stats.norm.ppf(gamma))
         truth = float(stats.norm.pdf(q) / (1.0 - gamma))
         return GeneratorSpec.iid_normal(n), truth, cvar_tail_mean_estimator(gamma, q)

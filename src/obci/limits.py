@@ -34,17 +34,18 @@ import csv
 import logging
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .paths import DEFAULT_GRID, SeedSpec, WienerPath, wiener_block
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "INFINITE",
@@ -474,6 +475,24 @@ def _require_picklable(obj, label: str) -> None:
         ) from None
 
 
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes, or a null context (``None``) for one.
+
+    ``concurrent.futures`` is imported only here, so a serial run never
+    loads it.
+    """
+    if workers == 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def draw_limit_samples(
     cells: Sequence[Cell],
     replications: int,
@@ -492,6 +511,7 @@ def draw_limit_samples(
     are bit-identical for any worker count.  With ``workers`` > 1 the
     weight must pickle, as a module-level function does.
     """
+    _require_workers(workers)
     if workers > 1 and weight is not None:
         _require_picklable(weight, f"weight {weight.tag!r}")
     groups: dict[int, list[Cell]] = {}
@@ -500,7 +520,7 @@ def draw_limit_samples(
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
         groups.setdefault(_horizon_cells(method, asym.beta, grid_count), []).append((method, asym))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with _process_pool(workers) as pool:
         return {
             cell: pair
             for horizon, group in groups.items()
@@ -603,7 +623,13 @@ def critical_values(
     """
     qs = list(qs)
     _check_levels(qs)
-    values = {cell: tuple(float(stats.norm.ppf(q)) for q in qs) for cell in cells if cell[1].beta == 0}
+    _require_workers(workers)
+    small = [cell for cell in cells if cell[1].beta == 0]
+    values = {}
+    if small:
+        from scipy.special import ndtri  # equals scipy.stats.norm.ppf bit for bit
+
+        values = {cell: tuple(float(ndtri(q)) for q in qs) for cell in small}
     drawn = [cell for cell in cells if cell[1].beta != 0]
     if drawn:
         draws = studentized_draws(drawn, replications, grid_count, master_seed, weight, workers)

@@ -19,7 +19,7 @@ from obci import (
     offset_sweep,
     study_setup,
 )
-from obci import cip, experiments, limits
+from obci import cip, experiments
 from obci.cip import build_interval
 from obci.errors import DegenerateEstimateError, DegenerateIntervalError
 from obci.experiments import _poisson_counts
@@ -138,8 +138,7 @@ class _NoPool:
 
 @pytest.mark.parametrize("bad", ["weight", "estimator"])
 def test_coverage_rejects_unpicklable_arguments_before_any_pool(monkeypatch, bad):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _NoPool)
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
     weight = WeightFunction(lambda v: 1.0 + v, "linear") if bad == "weight" else None
     estimator = (
         _WindowSum(tag="closure-mean", min_window=1, num=lambda x: x)
@@ -150,6 +149,21 @@ def test_coverage_rejects_unpicklable_arguments_before_any_pool(monkeypatch, bad
         coverage_experiment(
             GeneratorSpec.iid_normal(200), 0.0, estimator, MethodConfig("ob3", m=50, d=10),
             600, 5, weight=weight, workers=2,
+        )
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_coverage_rejects_workers_below_one_before_any_work(monkeypatch, workers):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiments, "_replication_block", fail)
+    source = StubCriticalValues()
+    source.critical_value = fail
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        coverage_experiment(
+            GeneratorSpec.iid_normal(200), 0.0, mean_estimator(), MethodConfig("ob1", m=50),
+            10, 5, cv_source=source, workers=workers,
         )
 
 

@@ -13,6 +13,7 @@ from obci import (
     CriticalValueEntry,
     CriticalValueTable,
     LimitSample,
+    MonteCarloCriticalValues,
     SeedSpec,
     WienerPath,
     constant_sqrt12,
@@ -118,13 +119,31 @@ def test_unpicklable_weight_is_rejected_before_any_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was built")
 
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cell = ("ob3", BatchAsymptotics(0.5))
     weight = WeightFunction(lambda v: 1.0 + v, "linear")
     with pytest.raises(ValueError, match="weight 'linear'.*module level"):
         draw_limit_samples([cell], 10_000, 128, 77, weight, workers=2)
     with pytest.raises(ValueError, match="weight 'linear'"):
         critical_value(*cell, 0.95, 10_000, 128, 77, weight, 2)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_is_rejected_before_any_draw(monkeypatch, workers):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(limits, "_draw_block", no_draw)
+    drawn, small = ("ob1", BatchAsymptotics(0.25)), ("ob1", BatchAsymptotics(0.0))
+    calls = [
+        lambda: draw_limit_samples([drawn], 10_000, workers=workers),
+        lambda: critical_value(*drawn, 0.95, workers=workers),
+        lambda: critical_values([small], [0.95], workers=workers),
+        lambda: MonteCarloCriticalValues(workers=workers).critical_value(*drawn, 0.95),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call()
 
 
 def test_draws_identical_across_worker_counts():
