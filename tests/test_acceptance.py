@@ -35,8 +35,6 @@ from obci import (
     var_ob2,
     var_ob3,
 )
-from obci.limits import _evaluate_block
-from obci.paths import wiener_block
 
 pytestmark = pytest.mark.acceptance
 
@@ -113,32 +111,23 @@ def test_criterion_2_bias_constant_oracles():
     _finish("2", failures, "kappa1/kappa2 match exact rational evaluation to 10 digits")
 
 
-def _chi2_means_shared_paths(method_horizons, betas, b_infs, seed):
-    """Mean chi-square per (method, beta, b_inf), reusing paths per sweep."""
-    sums: dict[tuple, float] = {}
+def _chi2_means(betas, b_infs, seed):
+    """Mean chi-square per (method, beta, b_inf): every cell of one beta is
+    drawn in one ``draw_limit_samples`` call, so the ob1/ob2 cells share their
+    unit-horizon paths and the ob3 cells theirs."""
+    means: dict[tuple, float] = {}
     for beta in betas:
-        for horizon_kind, methods in method_horizons.items():
-            cells = GRID if horizon_kind == "unit" else int(round(GRID / beta))
-            rows = max(16, min(4096, int(1.6e8 / (8 * (cells + 1)))))
-            totals = {(m, b): 0.0 for m in methods for b in b_infs}
-            for lo in range(0, R_LIMIT, rows):
-                count = min(rows, R_LIMIT - lo)
-                w = wiener_block(cells, 1.0 / GRID, seed + int(beta * 1000), lo, count)
-                for m in methods:
-                    for b in b_infs:
-                        _, chi = _evaluate_block(m, w, beta, b, GRID, None)
-                        totals[(m, b)] += float(chi.sum())
-            for (m, b), total in totals.items():
-                sums[(m, beta, b)] = total / R_LIMIT
-    return sums
+        cells = [(m, BatchAsymptotics(beta, b)) for m in ("ob1", "ob2", "ob3") for b in b_infs]
+        draws = draw_limit_samples(cells, R_LIMIT, GRID, seed + int(beta * 1000))
+        for (method, asym), (_, chis) in draws.items():
+            means[(method, beta, asym.b_inf)] = float(chis.mean())
+    return means
 
 
 def test_criterion_3_limit_normalization():
     betas = (0.1, 0.25, 0.5)
     b_infs = (2.0, 10.0, INFINITE)
-    means = _chi2_means_shared_paths(
-        {"unit": ("ob1", "ob2"), "scaled": ("ob3",)}, betas, b_infs, seed=7100
-    )
+    means = _chi2_means(betas, b_infs, seed=7100)
     failures: list[str] = []
     for (method, beta, b_inf), mean in sorted(means.items()):
         if not 0.97 <= mean <= 1.03:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -251,27 +252,94 @@ def test_plugin_sliding_equals_estimate_on_tied_windows(tag):
 
 @pytest.mark.parametrize("tag", ["quantile:0.9", "cvar:0.9", "cvartail:0.9"])
 def test_plugin_sliding_does_not_depend_on_chunking(tag, rng, monkeypatch):
+    # blocks of 9 windows (m = 200, d = 3), each with 9 x 45 candidates; the
+    # default chunk holds hundreds of blocks, the patched ones two and one
     est = parse_estimator_tag(tag)
     x = rng.standard_normal(2000)
-    m = 100
+    m = 200
     starts = np.arange(0, x.size - m + 1, 3)
+    assert functionals._block_size(m, 3) == 9
+    gathers = []
+    gather = functionals._gather
+    monkeypatch.setattr(functionals, "_gather", lambda *a: gathers.append(1) or gather(*a))
     whole = est.sliding_estimates(x, starts, m)
-    for rows in (1, 3):
-        monkeypatch.setattr(functionals, "_CHUNK_BYTES", rows * 8 * m)
+    calls = [len(gathers)]
+    for chunk in (2 * 8 * 9 * 45, 1):
+        monkeypatch.setattr(functionals, "_CHUNK_BYTES", chunk)
+        gathers.clear()
         assert np.array_equal(est.sliding_estimates(x, starts, m), whole)
+        calls.append(len(gathers))
+    # 601 windows: 66 blocks of 9, then one of 7 in a chunk of its own; three
+    # row copies per chunk, the cores and the two edges
+    assert calls == [3 + 3, 3 * 33 + 3, 3 * 66 + 3]
+
+
+def _check_kernel(x, starts, m, k, tied):
+    # against the tail rule of estimate(), window by window: every value at
+    # or above the k-th smallest; sums are exact on small integers and within
+    # rounding of the values' scale on continuous data
+    q, sums, counts = functionals._sliding_order_stats(x, starts, m, k, tails=True)
+    for i, s in enumerate(starts):
+        w = x[s : s + m]
+        q0 = np.partition(w, k - 1)[k - 1]
+        assert q[i] == q0 and counts[i] == np.count_nonzero(w >= q0), (m, k, i)
+        sum0 = w[w >= q0].sum()
+        assert sums[i] == sum0 if tied else abs(sums[i] - sum0) <= 1e-12 * max(abs(sum0), m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_banded_kernel_matches_every_window(d):
+    # random evenly spaced starts whose count is not a multiple of the block
+    # size, and every plug-in estimator against estimate() on each window
+    gen = np.random.default_rng(100 + d)
+    banded = 0
+    for m in (cvar_min_window(0.99), 64 * d + 5, 70 * d + 31):
+        size = functionals._block_size(m, d)
+        b = 3 * max(size, 20) + 2
+        starts = gen.integers(0, 50) + d * np.arange(b)
+        banded += size > 1 and b % size != 0
+        for tied in (False, True):
+            x = gen.integers(0, 4, starts[-1] + m).astype(float) if tied else gen.standard_normal(starts[-1] + m)
+            for gamma in (0.05, 0.5, 0.7, 0.9, 0.99):
+                _check_kernel(x, starts, m, math.ceil(gamma * m), tied)
+                for kind in ("quantile", "cvar", "cvartail"):
+                    est = parse_estimator_tag(f"{kind}:{gamma}")
+                    if m < est.min_window:
+                        continue
+                    fast = est.sliding_estimates(x, starts, m)
+                    slow = np.array([est.estimate(x[s : s + m]) for s in starts])
+                    if kind == "quantile" or tied:
+                        assert np.array_equal(fast, slow), (kind, m, tied, gamma)
+                    else:
+                        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+    assert banded >= 2
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_banded_kernel_takes_uneven_starts(tied):
+    gen = np.random.default_rng(8)
+    m = 300
+    starts = np.cumsum(gen.integers(0, 6, 400))
+    starts[200:] = starts[199] + np.arange(1, 201)  # evenly spaced from here on
+    x = gen.integers(0, 4, starts[-1] + m).astype(float) if tied else gen.standard_normal(starts[-1] + m)
+    for gamma in (0.05, 0.7, 0.9):
+        _check_kernel(x, starts, m, math.ceil(gamma * m), tied)
 
 
 def test_plugin_sliding_memory_is_bounded(rng):
-    # 15,001 windows of 5000 values: a full window copy would need 600 MB
-    x = rng.standard_normal(20_000)
-    starts = np.arange(x.size - 5000 + 1)
-    tracemalloc.start()
-    try:
-        quantile_estimator(0.9).sliding_estimates(x, starts, 5000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    # 15,001 windows of 5000 values: a full window copy would need 600 MB;
+    # 75,001 windows of 25,000 (the paper's n = 10^5, beta = 1/4) 15 GB
+    for n, m in ((20_000, 5000), (100_000, 25_000)):
+        x = rng.standard_normal(n)
+        starts = np.arange(x.size - m + 1)
+        for est in (quantile_estimator(0.9), cvar_tail_mean_estimator(0.9)):
+            tracemalloc.start()
+            try:
+                est.sliding_estimates(x, starts, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, (m, est.tag)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.7, 0.9, 0.95])

@@ -2,8 +2,9 @@
 
 scipy and the process pool load inside the branches that call them, so a
 ``critvals`` table with beta > 0 and a table-driven ``ci`` never import them.
-The beta = 0 quantile (``scipy.special.ndtri``) must equal
-``scipy.stats.norm.ppf`` bit for bit; the oldest supported scipy runs this
+The beta = 0 quantile (``scipy.special.ndtri``) and the cvar study's
+quantile and truth, which load ``scipy.special`` only, must equal their
+``scipy.stats.norm`` forms bit for bit; the oldest supported scipy runs this
 file too.
 """
 
@@ -52,6 +53,8 @@ _GUARD = textwrap.dedent(
     ]))
     codes.append(obci.cli.main(["ci", "--method", "ss", "--estimator", "mean", "--data", str(data)]))
     seen["ci"] = lazy()
+    obci.study_setup("cvar", 1000)
+    seen["cvar"] = [m for m in lazy() if m.startswith("scipy.stats")]
     print(json.dumps({"codes": codes, "seen": seen}))
     """
 )
@@ -66,7 +69,7 @@ def test_import_and_table_paths_load_no_scipy_or_pool(tmp_path):
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0, 0]
-    assert result["seen"] == {"import": [], "critvals": [], "ci": []}
+    assert result["seen"] == {"import": [], "critvals": [], "ci": [], "cvar": []}
 
 
 @pytest.mark.parametrize("method", ["ob1", "ob2", "ob3"])
@@ -78,7 +81,9 @@ def test_small_batch_value_is_the_normal_quantile(method, q):
         assert value == expected and np.signbit(value) == np.signbit(expected)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("gamma", [0.123, 0.5, 0.7, 0.9, 0.95, 0.99])
 def test_cvar_study_truth(gamma):
-    _, truth, _ = study_setup("cvar", 1000, gamma=gamma)
-    assert truth == float(stats.norm.pdf(stats.norm.ppf(gamma)) / (1.0 - gamma))
+    _, truth, est = study_setup("cvar", 1000, gamma=gamma)
+    q = float(stats.norm.ppf(gamma))
+    assert truth == float(stats.norm.pdf(q) / (1.0 - gamma))
+    assert est.num.args == (q,) and est.den.args == (q,)
