@@ -67,6 +67,16 @@ def classify_b_inf(layout: BatchLayout) -> float:
     return INFINITE if layout.d <= math.sqrt(layout.n) else float(layout.b)
 
 
+def _limit_regime(layout: BatchLayout, beta_declared: float | None) -> BatchAsymptotics:
+    """The regime a critical value is drawn for: the declared beta, or the
+    realized m/n, with the layout's ``b_inf`` class (INFINITE when beta is 0).
+
+    Raises ValueError for a beta outside [0, 1).
+    """
+    beta = layout.beta_hat if beta_declared is None else beta_declared
+    return BatchAsymptotics(beta=beta, b_inf=classify_b_inf(layout) if beta > 0 else INFINITE)
+
+
 def var_ob1(est: BatchEstimates, layout: BatchLayout) -> VarianceEstimate:
     """Scaled batch sample variance around the sectioning estimate."""
     kap = kappa1(layout.beta_hat)
@@ -293,10 +303,8 @@ def build_interval(
     from .series import make_layout
 
     layout = make_layout(data.n, m, d)
-    b_inf_class = classify_b_inf(layout)
-    beta_cv = layout.beta_hat if beta_declared is None else beta_declared
     # checks beta_declared before the estimates are paid for
-    asym = BatchAsymptotics(beta=beta_cv, b_inf=b_inf_class if beta_cv > 0 else INFINITE)
+    asym = _limit_regime(layout, beta_declared)
     estimates = batch_estimates(data, layout, estimator)
     variance = _estimate_variance(method, data, layout, estimator, estimates, weight)
     cv_source = cv_source or MonteCarloCriticalValues(weight=weight)

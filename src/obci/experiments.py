@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cip import (
-    BatchAsymptotics,
     CriticalValueSource,
     MonteCarloCriticalValues,
     _estimate_variance,
+    _limit_regime,
     assemble_interval,
     classify_b_inf,
 )
@@ -29,7 +29,7 @@ from .functionals import (
     cvar_tail_mean_estimator,
     nhpp_rate_estimator,
 )
-from .limits import INFINITE, WeightFunction, _process_pool, _require_picklable, _require_workers
+from .limits import WeightFunction, _process_pool, _require_picklable, _require_workers
 from .paths import SeedSpec, stream_generators
 from .series import TimeSeriesData, batch_estimates, make_layout
 from .subsampling import subsampling_interval
@@ -313,15 +313,12 @@ def coverage_experiment(
         beta_report = layout.m / generator.n
     else:
         layout = make_layout(generator.n, m, config.d)
-        beta_cv = layout.beta_hat if config.beta_declared is None else config.beta_declared
-        b_inf = classify_b_inf(layout) if beta_cv > 0 else INFINITE
+        asym = _limit_regime(layout, config.beta_declared)
         if cv_source is None and weight is not None:
             cv_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED, weight=weight)
         source = cv_source or default_cv_source()
-        cv = source.critical_value(
-            config.method, BatchAsymptotics(beta=beta_cv, b_inf=b_inf), 1.0 - config.alpha / 2.0
-        )
-        beta_report = beta_cv
+        cv = source.critical_value(config.method, asym, 1.0 - config.alpha / 2.0)
+        beta_report = asym.beta
     blocks = [
         (generator, truth, estimator, config, m, cv, weight, master_seed, lo,
          min(_REP_BLOCK, replications - lo))

@@ -5,12 +5,14 @@ deterministic in its input.  Windows shorter than ``min_window`` are rejected,
 never silently extrapolated; windows on which the functional is undefined
 raise :class:`~obci.errors.DegenerateEstimateError`.
 
-The plug-in order-statistic estimators (``quantile:G``, ``cvar:G``,
-``cvartail:G``) read the ``ceil(gamma * w)``-th order statistic ``q`` of a
-window of ``w`` values.  The CVaR forms take as the tail every value at or
-above ``q``, ties with ``q`` included, in ``estimate``, in
-``sliding_estimates`` and ``prefix_estimates``.  Their sliding kernel is
-banded: windows whose starts are a step ``d`` apart go in blocks of
+The plug-in estimators ``quantile:G``, ``cvar:G`` and ``cvartail:G`` are the
+three forms of one order-statistic estimator.  Each reads the
+``ceil(gamma * w)``-th order statistic ``q`` of a window of ``w`` values and
+its tail, every value at or above ``q``, ties with ``q`` included, and maps
+that ``(q, tail sum, tail count)`` triple to ``q``, to the normalized sum
+``sum / (w (1 - gamma))`` or to the mean ``sum / count``, with one map in
+``estimate``, ``sliding_estimates`` and ``prefix_estimates``.  The sliding
+kernel is banded: windows whose starts are a step ``d`` apart go in blocks of
 ``B = ceil(sqrt(m / d))`` (1 below ``m = 64 d`` and for uneven starts) that
 share the core ``x[s + e : s + m]``, ``e = (B - 1) d``.  The core is
 partitioned once, and each window selects ``q`` from ``2 e + 1`` candidates,
@@ -19,7 +21,7 @@ costs about ``m / B + 2 (B - 1) d`` instead of ``m``: at ``n = 10**5``,
 ``m = 25000``, ``d = 1`` a quantile takes 0.13 s and a CVaR 0.14 s on a
 2-vCPU Xeon guest, against 3.1 s and 3.7 s for one partition per window.
 Blocks are copied a few at a time, so memory does not grow with the number
-of windows.  Their ``prefix_estimates`` (the OB-III
+of windows.  The ``prefix_estimates`` (the OB-III
 prefixes of one batch of ``m`` values) keep a running order statistic in two
 heaps over one pass, O(m log m) time and O(m) memory per batch instead of
 one partition per prefix; the tail of prefix ``j`` is the upper heap plus the
@@ -348,36 +350,6 @@ def _running_tails(window, gamma):
     return q, np.array(hi_sums) + q * ties, j - k + ties
 
 
-@dataclass(frozen=True)
-class _Quantile(FunctionalEstimator):
-    """Smallest order statistic whose empirical cdf reaches ``gamma``."""
-
-    gamma: float
-    tag: str = field(init=False)
-    min_window = 1
-
-    def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must be in (0, 1)")
-        object.__setattr__(self, "tag", f"quantile:{self.gamma:g}")
-
-    def order_index(self, w: int) -> int:
-        return math.ceil(self.gamma * w)
-
-    def estimate(self, window):
-        window = self.check_window(window)
-        k = self.order_index(window.size)
-        return float(np.partition(window, k - 1)[k - 1])
-
-    def sliding_estimates(self, x, starts, m):
-        q, _, _ = _sliding_order_stats(x, starts, m, self.order_index(m))
-        return q
-
-    def prefix_estimates(self, window):
-        q, _, _ = _running_tails(np.asarray(window, dtype=float), self.gamma)
-        return q
-
-
 def cvar_min_window(gamma: float) -> int:
     """Smallest window length with ``ceil(gamma * w) < w`` (an exceedance is possible)."""
     if not 0 < gamma < 1:
@@ -389,67 +361,54 @@ def cvar_min_window(gamma: float) -> int:
 
 
 @dataclass(frozen=True)
-class _CVaRSum(FunctionalEstimator):
-    """Normalized tail sum ``(1 / (w (1 - gamma))) * sum of Z 1{Z >= q}``.
+class _OrderStatistic(FunctionalEstimator):
+    """Plug-in estimator read off a window's ``ceil(gamma * w)``-th order
+    statistic ``q`` and its tail, the values at or above ``q`` (ties with
+    ``q`` included).
 
-    ``q`` is the window's own ``ceil(gamma * w)``-th order statistic; values
-    tied with ``q`` are in the tail.
+    ``form`` picks the estimate: ``"quantile"`` is ``q`` itself, ``"cvar"``
+    the normalized tail sum ``sum / (w (1 - gamma))`` and ``"cvartail"`` the
+    tail mean ``sum / count``.
     """
 
+    form: str
     gamma: float
     tag: str = field(init=False)
     min_window: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "min_window", cvar_min_window(self.gamma))
-        object.__setattr__(self, "tag", f"cvar:{self.gamma:g}")
+        if not 0 < self.gamma < 1:
+            raise ValueError("gamma must be in (0, 1)")
+        w = 1 if self.form == "quantile" else cvar_min_window(self.gamma)
+        object.__setattr__(self, "min_window", w)
+        object.__setattr__(self, "tag", f"{self.form}:{self.gamma:g}")
 
-    def estimate(self, window):
-        window = self.check_window(window)
-        k = math.ceil(self.gamma * window.size)
-        q = float(np.partition(window, k - 1)[k - 1])
-        return float(window[window >= q].sum() / (window.size * (1.0 - self.gamma)))
-
-    def sliding_estimates(self, x, starts, m):
-        _, sums, _ = _sliding_order_stats(x, starts, m, math.ceil(self.gamma * m), tails=True)
-        return sums / (m * (1.0 - self.gamma))
-
-    def prefix_estimates(self, window):
-        _, sums, _ = _running_tails(np.asarray(window, dtype=float), self.gamma)
-        out = sums / (np.arange(1, sums.size + 1) * (1.0 - self.gamma))
-        out[: self.min_window - 1] = np.nan
-        return out
-
-
-@dataclass(frozen=True)
-class _CVaRTailMean(FunctionalEstimator):
-    """Mean of the window observations at or above the window's own
-    ``ceil(gamma * w)``-th order statistic ``q``, ties with ``q`` included:
-    the tail-conditional (ratio) form of the CVaR estimator."""
-
-    gamma: float
-    tag: str = field(init=False)
-    min_window: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "min_window", cvar_min_window(self.gamma))
-        object.__setattr__(self, "tag", f"cvartail:{self.gamma:g}")
-
-    def estimate(self, window):
-        window = self.check_window(window)
-        k = math.ceil(self.gamma * window.size)
-        part = np.partition(window, k - 1)
-        q = part[k - 1]
-        ties = np.count_nonzero(part[: k - 1] == q)
-        return float((part[k - 1 :].sum() + q * ties) / (window.size - k + 1 + ties))
-
-    def sliding_estimates(self, x, starts, m):
-        _, sums, counts = _sliding_order_stats(x, starts, m, math.ceil(self.gamma * m), tails=True)
+    def _value(self, q, sums, counts, w):
+        if self.form == "quantile":
+            return q
+        if self.form == "cvar":
+            return sums / (w * (1.0 - self.gamma))
         return sums / counts
 
+    def estimate(self, window):
+        window = self.check_window(window)
+        w = window.size
+        k = math.ceil(self.gamma * w)
+        part = np.partition(window, k - 1)
+        q = part[k - 1]
+        if self.form == "quantile":
+            return float(q)
+        ties = np.count_nonzero(part[: k - 1] == q)
+        return float(self._value(q, part[k - 1 :].sum() + q * ties, w - k + 1 + ties, w))
+
+    def sliding_estimates(self, x, starts, m):
+        k = math.ceil(self.gamma * m)
+        q, sums, counts = _sliding_order_stats(x, starts, m, k, tails=self.form != "quantile")
+        return self._value(q, sums, counts, m)
+
     def prefix_estimates(self, window):
-        _, sums, counts = _running_tails(np.asarray(window, dtype=float), self.gamma)
-        out = sums / counts
+        q, sums, counts = _running_tails(np.asarray(window, dtype=float), self.gamma)
+        out = self._value(q, sums, counts, np.arange(1, q.size + 1))
         out[: self.min_window - 1] = np.nan
         return out
 
@@ -461,7 +420,7 @@ def mean_estimator() -> FunctionalEstimator:
 
 def quantile_estimator(gamma: float) -> FunctionalEstimator:
     """Smallest order statistic with empirical cdf >= gamma."""
-    return _Quantile(gamma)
+    return _OrderStatistic("quantile", gamma)
 
 
 def cvar_estimator(gamma: float, q: float | None = None) -> FunctionalEstimator:
@@ -470,7 +429,7 @@ def cvar_estimator(gamma: float, q: float | None = None) -> FunctionalEstimator:
     With a known ``q``, a window with no observation at or above it is degenerate.
     """
     if q is None:
-        return _CVaRSum(gamma)
+        return _OrderStatistic("cvar", gamma)
     return _WindowSum(
         tag=f"cvar:{gamma:g}:{q:g}", min_window=cvar_min_window(gamma),
         num=partial(_exceedances, q), div=1.0 - gamma, support=partial(_at_or_above, q),
@@ -484,7 +443,7 @@ def cvar_tail_mean_estimator(gamma: float, q: float | None = None) -> Functional
     degenerate on a window with no observation at or above ``q``.
     """
     if q is None:
-        return _CVaRTailMean(gamma)
+        return _OrderStatistic("cvartail", gamma)
     return _WindowSum(
         tag=f"cvartail:{gamma:g}:{q:g}", min_window=cvar_min_window(gamma),
         num=partial(_exceedances, q), den=partial(_at_or_above, q),

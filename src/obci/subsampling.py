@@ -26,10 +26,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SubsamplingDistribution:
-    """Sorted subsample root values with their scalings."""
+    """Sorted subsample root values with their scalings, and the full-sample
+    estimate ``full`` the roots are centred on."""
 
     values: np.ndarray
     m: int
+    full: float
     tau_full: float
     tau_sub: float
     dropped: int = 0
@@ -60,7 +62,8 @@ def subsample_distribution(
         logger.info("dropped %d degenerate subsamples of %d", dropped, starts.size)
     values = np.sort(math.sqrt(m) * (roots[valid] - full))
     return SubsamplingDistribution(
-        values=values, m=m, tau_full=math.sqrt(n), tau_sub=math.sqrt(m), dropped=dropped
+        values=values, m=m, full=full, tau_full=math.sqrt(n), tau_sub=math.sqrt(m),
+        dropped=dropped,
     )
 
 
@@ -83,7 +86,7 @@ def subsampling_interval(
         raise DegenerateIntervalError(
             f"only {dist.values.size} valid subsamples, need at least 10"
         )
-    full = estimator.estimate(data.values)
+    full = dist.full
     c_hi = dist.quantile(1.0 - alpha / 2.0)
     c_lo = dist.quantile(alpha / 2.0)
     lower = full - c_hi / math.sqrt(n)

@@ -49,6 +49,17 @@ def test_classify_b_inf_rule():
     assert classify_b_inf(make_layout(1000, 250, 500)) == 2.0
 
 
+def test_limit_regime_rule():
+    wide = make_layout(1000, 250, 250)
+    assert cip._limit_regime(wide, None) == BatchAsymptotics(beta=0.25, b_inf=4.0)
+    assert cip._limit_regime(wide, 0.2) == BatchAsymptotics(beta=0.2, b_inf=4.0)
+    # beta = 0 is the small-batch regime, whatever the layout's class
+    assert cip._limit_regime(wide, 0.0) == BatchAsymptotics(beta=0.0, b_inf=INFINITE)
+    assert cip._limit_regime(make_layout(1000, 250, 1), None).b_inf == INFINITE
+    with pytest.raises(ValueError, match="beta"):
+        cip._limit_regime(wide, 1.5)
+
+
 def test_var_ob1_hand_example():
     data = TimeSeriesData(np.array([0.0, 0.0, 2.0, 2.0]))
     lay = make_layout(4, 2, 2)

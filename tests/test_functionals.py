@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -132,7 +133,8 @@ def test_nhpp_examples():
 
 @pytest.mark.parametrize(
     "tag",
-    ["mean", "ar1", "quantile:0.5", "cvar:0.7", "cvar:0.7:0.5244", "cvartail:0.9:1.2816", "nhpp:0.0001"],
+    ["mean", "ar1", "quantile:0.5", "quantile:0.05", "cvar:0.7", "cvar:0.7:0.5244", "cvartail:0.9",
+     "cvartail:0.9:1.2816", "nhpp:0.0001"],
 )
 def test_tag_round_trip(tag):
     assert parse_estimator_tag(tag).tag == tag.replace("0.0001", "0.0001")
@@ -231,6 +233,37 @@ def test_user_estimator_needs_only_estimate():
     with pytest.raises(DegenerateEstimateError) as err:
         batch_estimates(TimeSeriesData(x), make_layout(4, 2, 1), NonzeroMean())
     assert err.value.batch_index == 2
+
+
+def _plugin_reference(form, gamma, window):
+    """The plug-in estimators by definition: the ceil(gamma w)-th sorted value
+    q, then the normalized sum or the mean of the values at or above q."""
+    q = np.sort(window)[math.ceil(gamma * window.size) - 1]
+    tail = window[window >= q]
+    return {"quantile": q, "cvar": tail.sum() / (window.size * (1.0 - gamma)),
+            "cvartail": tail.mean()}[form]
+
+
+@pytest.mark.parametrize("form", ["quantile", "cvar", "cvartail"])
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.7, 0.9, 0.99])
+def test_plugin_estimate_matches_definition(form, gamma, rng):
+    est = parse_estimator_tag(f"{form}:{gamma}")
+    for w in sorted({w for w in (37, 250, 1001) if w > est.min_window} | {est.min_window}):
+        # small integers: many ties with q, and every sum is exact
+        tied = rng.integers(0, 5, w).astype(float)
+        assert est.estimate(tied) == _plugin_reference(form, gamma, tied)
+        smooth = rng.standard_normal(w)
+        assert est.estimate(smooth) == pytest.approx(_plugin_reference(form, gamma, smooth), rel=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["quantile:0.05", "cvar:0.7", "cvartail:0.9"])
+def test_plugin_estimator_survives_pickling(tag, rng):
+    # coverage_experiment sends the estimator to its worker processes
+    est = parse_estimator_tag(tag)
+    clone = pickle.loads(pickle.dumps(est))
+    assert clone == est and clone.tag == tag and clone.min_window == est.min_window
+    window = rng.standard_normal(50)
+    assert clone.estimate(window) == est.estimate(window)
 
 
 TIED = np.array([0, 1, 1, 1, 2, 2, 3, 3, 3, 3, 1, 2, 0, 1, 3, 3, 2, 1, 0, 1], dtype=float)

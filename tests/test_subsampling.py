@@ -92,3 +92,19 @@ def test_dropped_subsample_count():
     dist = subsample_distribution(data, 3, cvar_estimator(0.5, q=1.0))
     assert dist.dropped == 1
     assert dist.values.size == 3
+
+
+def test_interval_estimates_the_full_sample_once(monkeypatch):
+    estimator = mean_estimator()
+    original = type(estimator).estimate
+    sizes = []
+
+    def counting(self, window):
+        sizes.append(len(window))
+        return original(self, window)
+
+    monkeypatch.setattr(type(estimator), "estimate", counting)
+    data = TimeSeriesData(np.random.default_rng(13).standard_normal(100))
+    interval = subsampling_interval(data, estimator, 0.05)
+    assert sizes == [100]
+    assert interval.center == subsample_distribution(data, 10, mean_estimator()).full
