@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DegenerateIntervalError
-from .functionals import FunctionalEstimator
+from .functionals import FunctionalEstimator, _at, _even_step, _prefix_sums, _window_sums
 from .limits import (
     DEFAULT_REPLICATIONS,
     INFINITE,
@@ -120,12 +120,12 @@ def var_ob3(
     if getattr(est, "window_mean", False) and weight.constant is not None:
         # prefix sums collapse the double loop: j * (estimate on the first j)
         # is a cumulative-sum difference over div, so each batch area term is O(1)
-        c = np.concatenate(([0.0], np.cumsum(est.num(data.values))))
-        cc = np.concatenate(([0.0], np.cumsum(c[1:])))
-        s = layout.starts
+        c = _prefix_sums(est.num(data.values))
+        cc = _prefix_sums(c[1:])
+        s, step = layout.starts, _even_step(layout.starts)
         # sum_j (C[s+j] - C[s]) for j = 1..m
-        inner = cc[s + m] - cc[s] - m * c[s]
-        batch_mean = (c[s + m] - c[s]) / m
+        inner = _window_sums(cc, s, step, m) - m * _at(c, s, step, 0)
+        batch_mean = _window_sums(c, s, step, m) / m
         jsum = m * (m + 1) / 2.0
         terms = weight.constant * (inner - batch_mean * jsum) / (m * math.sqrt(m) * est.div)
         value = float(np.dot(terms, terms)) / layout.b

@@ -56,12 +56,18 @@ CRITVAL_SEED = 20240601
 
 _default_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED)
 
-# Poisson means below this draw their counts from one block of uniforms
-# (:func:`_poisson_counts`); at and above it ``Generator.poisson`` is faster.
-# The break-even lies between 0.01 and 0.0125: at n = 50,000 on a 2-vCPU
-# Xeon guest the block took 1071 against 1167 us for numpy at 0.01, and
-# 1138 against 1099 us at 0.0125 (medians of 400, other load present).
+# A Poisson series draws its counts from one block of raw words
+# (:func:`_poisson_counts`) when ``n * (_POISSON_BLOCK_LAM - lam)`` reaches
+# ``_POISSON_BLOCK_STEPS``; otherwise ``Generator.poisson`` is faster.  The
+# block saves about 0.75 us per unit of that product, at about 6 ns per count
+# against numpy's 12, and costs a few microseconds more up front.  Measured
+# break-evens on a 2-vCPU Xeon guest (medians of 7 timings): n = 580 at
+# lam = 6e-4, about 1000 at 0.002 and 1900 at 0.005, and lam = 0.0099 at
+# n = 50,000 (771 against 771 us); the rule cuts at n = 639, 750 and 1200,
+# and at lam = 0.00988 for n = 50,000.
 _POISSON_BLOCK_LAM = 0.01
+_POISSON_BLOCK_STEPS = 6.0
+_UNIFORM_STEP = 2.0**-53
 
 
 def default_cv_source() -> MonteCarloCriticalValues:
@@ -112,38 +118,63 @@ class GeneratorSpec:
         return cls(kind="nhpp_increments", n=n, t=t, delta=delta, rate_a=rate_a, rate_b=rate_b)
 
 
+def _word_cut(enlam: float) -> int:
+    """The smallest raw 64-bit word whose uniform exceeds ``enlam`` in (0, 1).
+
+    numpy's uniform from a word is ``(word >> 11) * 2**-53``, so it exceeds
+    ``enlam`` exactly when ``word >> 11 > enlam * 2**53``, a product that is
+    exact; that is ``word >= (floor(enlam * 2**53) + 1) * 2**11``.  The cut is
+    ``2**64`` or more, above every word, when ``enlam`` rounds to 1 or to
+    ``1 - 2**-53``.
+    """
+    return (math.floor(enlam * 2.0**53) + 1) << 11
+
+
 def _poisson_counts(gen: np.random.Generator, lam: float, n: int) -> np.ndarray:
     """``gen.poisson(lam, n).astype(float)``, bit for bit.
 
     Below mean 10, numpy counts the uniforms whose running product stays above
     exp(-lam) (the multiplication method), one C call per count.  Here one
-    block of uniforms serves every count: a uniform at or below exp(-lam)
-    where a count starts is a zero, and only the others are walked, each
-    starting a count that takes more uniforms.  The generator is left where
-    numpy leaves it: a count that runs past the block takes single uniforms,
-    and the counts still owed are drawn from a new block of their number.
-    The walk costs about n(1 - exp(-lam)) Python steps, so it is used only
-    below ``_POISSON_BLOCK_LAM``.
+    block of raw words serves every count.  numpy makes each uniform from one
+    64-bit word as ``(word >> 11) * 2**-53`` (Philox, PCG64, PCG64DXSM and
+    SFC64 alike), so a uniform exceeds exp(-lam) exactly when its word is at
+    or above :func:`_word_cut`, and only the words the walk reads are turned
+    into doubles.  A word below the cut where a count starts is a zero; each
+    other start begins a count that takes more uniforms.  The generator is
+    left where numpy leaves it: a count that runs past the block takes single
+    uniforms, and the counts still owed come from a new block of their number.
+    The walk costs about n(1 - exp(-lam)) Python steps and the block a fixed
+    few microseconds, so it is used only for those bit generators and where
+    ``n * (_POISSON_BLOCK_LAM - lam) >= _POISSON_BLOCK_STEPS``.
     """
-    if not 0 < lam < _POISSON_BLOCK_LAM:
+    # the bit generators named here make a uniform from one word; MT19937
+    # makes one from two 32-bit words (numpy.random is looked up only here,
+    # so that importing obci does not load it)
+    words_are_uniforms = isinstance(
+        gen.bit_generator, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+    )
+    if not (lam > 0 and n * (_POISSON_BLOCK_LAM - lam) >= _POISSON_BLOCK_STEPS and words_are_uniforms):
         return gen.poisson(lam, n).astype(float)
     # math.exp is libm's exp, which numpy's sampler calls too
     enlam = math.exp(-lam)
+    cut = _word_cut(enlam)
+    raw = gen.bit_generator.random_raw
     counts = np.zeros(n)
     done = 0
     while done < n:
         k = n - done
-        u = gen.random(k)
-        extra = 0  # uniforms past the first taken by the counts of this block
+        words = raw(k)
+        starts = np.flatnonzero(words >= np.uint64(cut)).tolist() if cut < 2**64 else []
+        extra = 0  # words past the first taken by the counts of this block
         free = 0  # first position of the block no count has taken
-        for p in np.flatnonzero(u > enlam).tolist():
+        for p in starts:
             if p < free:
                 continue
-            prod = u.item(p)
+            prod = (words.item(p) >> 11) * _UNIFORM_STEP
             x = 1
             j = p + 1
             while True:
-                prod *= u.item(j) if j < k else gen.random()
+                prod *= (words.item(j) >> 11) * _UNIFORM_STEP if j < k else gen.random()
                 j += 1
                 if prod <= enlam:
                     break
@@ -166,10 +197,10 @@ def generate(spec: GeneratorSpec, seed: SeedSpec | np.random.Generator) -> TimeS
     stationary start.  NHPP increments are Poisson draws from the exact
     integrated rate lam over [t, t + delta], distributionally equivalent to
     incrementing full paths.  Below lam = 0.01 (the paper's study has
-    lam = 6e-4) the counts come from one block of uniforms, walked only
-    where a count is nonzero; at and above it from ``Generator.poisson``.
-    Both give exactly ``Generator.poisson``'s counts and leave the generator
-    in the same state.
+    lam = 6e-4), on series long enough, the counts come from one block of
+    raw words, walked only where a count is nonzero; otherwise from
+    ``Generator.poisson``.  Both give exactly ``Generator.poisson``'s counts
+    and leave the generator in the same state.
     """
     gen = seed if isinstance(seed, np.random.Generator) else seed.generator()
     if spec.kind == "iid_normal":

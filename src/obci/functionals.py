@@ -26,6 +26,18 @@ prefixes of one batch of ``m`` values) keep a running order statistic in two
 heaps over one pass, O(m log m) time and O(m) memory per batch instead of
 one partition per prefix; the tail of prefix ``j`` is the upper heap plus the
 values in the lower heap that tie with ``q_j``, the same rule.
+
+The window-sum estimators (mean, NHPP rate, known-``q`` CVaR forms, AR(1))
+read each window as the difference of two prefix sums ``[0, cumsum(terms)]``.
+Starts a constant step apart, which every caller passes (batch layouts,
+subsamples and the OB-III closed form), read those sums through two strided
+slices, with no gather and no index array; uneven starts are gathered.  A
+long series whose terms are mostly zero builds its prefix sums from the
+nonzero terms alone, the same sums bit for bit (see :func:`_prefix_sums`):
+one NHPP replication's batch estimates (50,000 counts of mean 6e-4, about
+30 nonzero, 37,501 windows of 12,500) take about 0.31 ms against 0.83 ms
+with ``concatenate`` and two gathers, and a call on 1000 values with 751
+windows 12-28 us against 13-34 us, on a 2-vCPU Xeon guest.
 """
 
 from __future__ import annotations
@@ -44,6 +56,17 @@ from .errors import DegenerateEstimateError
 # Bytes of block cores (or of window candidates) that the plug-in sliding kernel
 # copies and partitions at once.
 _CHUNK_BYTES = 1 << 20
+
+# Below this share of nonzero terms, prefix sums of a long series are built
+# from the nonzero terms alone.  At 10,000 and 50,000 terms the sparse build
+# takes half the dense one's time or less at 1/64 and about as long at 1/8.
+_SPARSE_SHARE = 1 / 64
+# Shorter series always take the dense sums: at 1% nonzero terms the sparse
+# build took 15.8 against 5.6 us at n = 1000, and 23 against 30 us at 8000.
+_SPARSE_MIN = 8192
+
+# The smallest positive normal float: a smaller window-sum denominator is degenerate.
+_TINY = np.finfo(float).tiny
 
 __all__ = [
     "FunctionalEstimator",
@@ -112,9 +135,56 @@ class FunctionalEstimator:
 _Terms = Callable[[np.ndarray], np.ndarray]
 
 
-def _window_sums(terms: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    c = np.concatenate(([0.0], np.cumsum(terms)))
-    return c[ends] - c[starts]
+def _even_step(starts) -> int:
+    """The common step of evenly spaced ``starts`` (1 for a single start), or
+    0 for uneven starts and for none."""
+    if not len(starts):
+        return 0
+    d = int(starts[1] - starts[0]) if len(starts) > 1 else 1
+    return d if d > 0 and (starts[1:] - starts[:-1] == d).all() else 0
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(terms)]`` in floats, the sums behind every window sum.
+
+    From ``_SPARSE_MIN`` terms on, below ``_SPARSE_SHARE`` nonzero terms,
+    it is the running sums of the nonzero terms alone, each repeated over the
+    run of positions it covers.  Since ``x + 0.0 == x`` bit for bit for every
+    ``x`` but ``-0.0``, the two agree bit for bit, except that the sparse sums
+    hold ``+0.0`` where the dense ones hold ``-0.0``: over a series whose
+    first terms are all ``-0.0``, up to the first other term.
+    """
+    n = terms.size
+    if n >= _SPARSE_MIN:
+        nonzero = terms != 0
+        if np.count_nonzero(nonzero) < n * _SPARSE_SHARE:
+            at = np.flatnonzero(nonzero)
+            sums = np.zeros(at.size + 1)
+            np.add.accumulate(terms[at], dtype=float, out=sums[1:])
+            # sums[i] holds from just past the i-th nonzero term to the next one
+            runs = np.empty(at.size + 1, dtype=np.intp)
+            runs[:-1] = at
+            runs[-1] = n
+            runs[1:] -= at
+            runs[0] += 1
+            return np.repeat(sums, runs)
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.add.accumulate(terms, dtype=float, out=c[1:])
+    return c
+
+
+def _at(c: np.ndarray, starts: np.ndarray, step: int, shift: int) -> np.ndarray:
+    """``c[starts + shift]``; starts ``step > 0`` apart are read as a strided
+    slice, with no gather and no index array."""
+    if step:
+        return c[starts[0] + shift : starts[-1] + shift + 1 : step]
+    return c[starts + shift]
+
+
+def _window_sums(c: np.ndarray, starts: np.ndarray, step: int, w: int) -> np.ndarray:
+    """Sums of the ``w`` terms from each start, from prefix sums ``c``."""
+    return _at(c, starts, step, w) - _at(c, starts, step, 0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -124,8 +194,10 @@ class _WindowSum(FunctionalEstimator):
     ``num``, ``den`` and ``support`` map a series to one term per observation,
     or with ``lag = 1`` to one term per adjacent pair, so a window of ``w``
     observations holds ``w - lag`` terms.  ``den=None`` divides by the window length.  The
-    estimate is undefined on a window whose ``den`` terms, or whose
-    ``support`` terms, do not sum to a positive value.
+    estimate is undefined on a window whose ``support`` terms do not sum to a
+    positive value, or whose ``den`` terms do not sum to a normal positive
+    float: a subnormal denominator has lost its precision (an AR(1) fit on
+    ``[4.1e-162, 1.0]`` reads 2.77e161 against the exact 2.44e161).
     """
 
     tag: str
@@ -145,20 +217,23 @@ class _WindowSum(FunctionalEstimator):
     def estimate(self, window):
         window = self.check_window(window)
         den = window.size if self.den is None else self.den(window).sum()
-        if not den > 0 or (self.support is not None and not self.support(window).any()):
+        if not den >= _TINY or (self.support is not None and not self.support(window).any()):
             raise DegenerateEstimateError(f"{self.tag}: zero denominator or empty support")
         return float(self.num(window).sum() / (den * self.div))
 
     def sliding_estimates(self, x, starts, m):
         x = np.asarray(x, dtype=float)
-        ends = starts + (m - self.lag)
-        num = _window_sums(self.num(x), starts, ends)
+        step = _even_step(starts)
+        w = m - self.lag
+        num = _window_sums(_prefix_sums(self.num(x)), starts, step, w)
         if self.den is None and self.support is None:
-            return num / (m * self.div)
-        den = m if self.den is None else _window_sums(self.den(x), starts, ends)
-        defined = den > 0
+            num /= m * self.div
+            return num
+        den = m if self.den is None else _window_sums(_prefix_sums(self.den(x)), starts, step, w)
+        defined = den >= _TINY
         if self.support is not None:
-            defined = defined & (_window_sums(self.support(x), starts, ends) > 0)
+            support = _window_sums(_prefix_sums(self.support(x)), starts, step, w)
+            defined = defined & (support > 0)
         with np.errstate(invalid="ignore", divide="ignore"):
             out = num / (den * self.div)
         return np.where(defined, out, np.nan)
@@ -210,12 +285,10 @@ def _sliding_order_stats(x, starts, m, k, tails=False):
     """
     x = np.asarray(x, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
-    d = int(starts[1] - starts[0]) if len(starts) > 1 else 1
-    if len(starts) and d > 0 and (np.diff(starts) == d).all():
+    d = _even_step(starts)
+    if d:
         # evenly spaced: every block's rows are a strided view of x
         starts = range(int(starts[0]), int(starts[-1]) + 1, d)
-    else:
-        d = 0
     size = _block_size(m, d)
     q = np.empty(len(starts))
     sums = np.empty(len(starts)) if tails else None

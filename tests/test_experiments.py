@@ -76,12 +76,87 @@ def test_poisson_counts_equal_generator_poisson(lam, n):
         assert ours.random() == numpys.random()
 
 
+def _same_place(ours, numpys):
+    """Whether two generators go on with the same words."""
+    return np.array_equal(ours.bit_generator.random_raw(9), numpys.bit_generator.random_raw(9))
+
+
+def _block_cut(lam):
+    """The shortest series that takes the block of raw words at mean lam."""
+    n = math.ceil(experiments._POISSON_BLOCK_STEPS / (experiments._POISSON_BLOCK_LAM - lam))
+    while n * (experiments._POISSON_BLOCK_LAM - lam) < experiments._POISSON_BLOCK_STEPS:
+        n += 1
+    return n
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``poisson`` calls."""
+
+    calls = 0
+
+    def poisson(self, *args, **kwargs):
+        self.calls += 1
+        return super().poisson(*args, **kwargs)
+
+
+@pytest.mark.parametrize("lam", [6e-4, 0.002, 0.005, 0.009])
+@pytest.mark.parametrize("side", [-1, 0])
+def test_poisson_counts_on_both_sides_of_the_length_cut(lam, side):
+    # one count short of the cut takes Generator.poisson, the cut the block
+    n = _block_cut(lam) + side
+    for s in _POISSON_SEEDS:
+        ours = _CountingGenerator(np.random.Philox(key=SeedSpec(s, 4).key()))
+        numpys = SeedSpec(s, 4).generator()
+        assert np.array_equal(_poisson_counts(ours, lam, n), numpys.poisson(lam, n).astype(float))
+        assert ours.calls == (side == -1)
+        assert _same_place(ours, numpys)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64, np.random.MT19937])
+def test_poisson_counts_for_other_bit_generators(bit_generator):
+    # PCG64 and SFC64 make a uniform from one word as Philox does; MT19937
+    # makes one from two 32-bit words and takes Generator.poisson
+    for s in range(20):
+        ours, numpys = np.random.Generator(bit_generator(s)), np.random.Generator(bit_generator(s))
+        assert np.array_equal(_poisson_counts(ours, 6e-4, 50_000), numpys.poisson(6e-4, 50_000).astype(float))
+        assert _same_place(ours, numpys)
+
+
+@pytest.mark.parametrize("lam", [6e-4, 0.005, 0.0099, 0.7, 1.0, 3.0, 9.5])
+def test_word_cut_matches_numpys_uniform(lam):
+    # numpy's uniform from a word is (word >> 11) * 2**-53; it exceeds
+    # exp(-lam) exactly from the cut on.  Below lam = ln 2, exp(-lam) * 2**53
+    # is an integer and the word at cut - 2**11 gives exp(-lam) itself.
+    enlam = math.exp(-lam)
+    cut = experiments._word_cut(enlam)
+    if lam < math.log(2):
+        assert enlam * 2.0**53 == math.floor(enlam * 2.0**53)
+        assert ((cut - 2**11) >> 11) * 2.0**-53 == enlam
+    for word in (0, cut - 2**11 - 1, cut - 2**11, cut - 1, cut, cut + 1, cut + 2**11, 2**64 - 1):
+        if 0 <= word < 2**64:
+            assert ((word >> 11) * 2.0**-53 > enlam) == (word >= cut), word
+
+
+@pytest.mark.parametrize("lam", [2.0**-53, 1e-17])
+def test_poisson_counts_where_the_word_cut_reaches_2_to_the_64(lam):
+    # exp(-lam) rounds to 1 - 2**-53 or to 1: no uniform exceeds it, every
+    # count is 0, and each still takes one word
+    assert experiments._word_cut(math.exp(-lam)) >= 2**64
+    for s in range(20):
+        ours, numpys = SeedSpec(s, 5).generator(), SeedSpec(s, 5).generator()
+        counts = _poisson_counts(ours, lam, 5000)
+        assert np.array_equal(counts, numpys.poisson(lam, 5000).astype(float))
+        assert not counts.any()
+        assert _same_place(ours, numpys)
+
+
 @pytest.mark.parametrize("lam", [0.01, 0.1, 0.7, 3.0, 9.5])
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 50_000])
 def test_poisson_block_walk_exact_up_to_mean_ten(monkeypatch, lam, n):
     # the walk itself, where counts of several uniforms overrun the block;
     # at n = 50,000 it takes ~n * lam Python steps, hence fewer seeds there
     monkeypatch.setattr(experiments, "_POISSON_BLOCK_LAM", 10.0)
+    monkeypatch.setattr(experiments, "_POISSON_BLOCK_STEPS", 0.0)
     for s in _POISSON_SEEDS if n * lam <= 5000 else _POISSON_SEEDS[:3]:
         ours, numpys = SeedSpec(s, 3).generator(), SeedSpec(s, 3).generator()
         assert np.array_equal(_poisson_counts(ours, lam, n), numpys.poisson(lam, n).astype(float))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -105,13 +105,22 @@ def test_ar1_examples():
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=30), st.floats(0.1, 10.0))
+@example(values=[4.0994689406699933e-162, 1.0], scale=2.0)
 @settings(max_examples=60)
 def test_ar1_scale_invariance(values, scale):
+    # a denominator below the smallest normal float has lost its precision:
+    # the window is degenerate, not a fit that changes with the scale
     window = np.asarray(values)
     est = ar1_estimator()
-    if not np.dot(window[:-1], window[:-1]) > 0:
-        return
-    assert est.estimate(window * scale) == pytest.approx(est.estimate(window), rel=1e-9)
+    fits = []
+    for w in (window, window * scale):
+        if (w[:-1] * w[:-1]).sum() < np.finfo(float).tiny:
+            with pytest.raises(DegenerateEstimateError):
+                est.estimate(w)
+        else:
+            fits.append(est.estimate(w))
+    if len(fits) == 2:
+        assert fits[1] == pytest.approx(fits[0], rel=1e-9)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=30), st.floats(-100, 100))
@@ -167,6 +176,117 @@ def test_sliding_matches_single_window(factory, rng):
     assert fast is not None
     slow = np.array([est.estimate(x[s : s + m]) for s in starts])
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _dense_prefix_sums(terms):
+    return np.concatenate(([0.0], np.cumsum(terms)))
+
+
+@st.composite
+def sparse_series(draw):
+    """A series long enough for the sparse prefix sums, with at most 40
+    nonzero terms (below 1/64 of it): finite values of any size, +-inf and
+    NaN, optionally at the first and the last position."""
+    n = draw(st.integers(functionals._SPARSE_MIN, functionals._SPARSE_MIN + 3000))
+    nonzero = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+        st.sampled_from([np.inf, -np.inf, np.nan]),
+    )
+    where = draw(st.lists(st.integers(0, n - 1), max_size=38))
+    where += [p for p, on in zip((0, n - 1), draw(st.tuples(st.booleans(), st.booleans()))) if on]
+    x = np.zeros(n)
+    x[where] = draw(st.lists(nonzero, min_size=len(where), max_size=len(where)))
+    return x
+
+
+@given(sparse_series(), st.integers(1, 5000), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sparse_prefix_sums_equal_dense(x, m, d):
+    assert np.count_nonzero(x) < x.size * functionals._SPARSE_SHARE
+    dense = _dense_prefix_sums(x)
+    assert np.array_equal(_bits(functionals._prefix_sums(x)), _bits(dense))
+    # and the window sums through the public kernel, strided and gathered
+    starts = np.arange(0, x.size - m + 1, d)
+    expected = (dense[starts + m] - dense[starts]) / m
+    est = mean_estimator()
+    assert np.array_equal(_bits(est.sliding_estimates(x, starts, m)), _bits(expected))
+    assert np.array_equal(_bits(est.sliding_estimates(x, starts[::-1], m)), _bits(expected[::-1]))
+
+
+@pytest.mark.parametrize("where,values", [
+    ([], []),
+    ([4321], [2.5]),
+    ([0, -1], [1.0, -3.0]),
+    ([0, 77, -1], [np.inf, 1.0, 2.0]),
+    ([10, 5000], [-np.inf, 4.0]),
+    ([10, 5000], [np.inf, -np.inf]),
+    ([3, 8000], [np.nan, 1.0]),
+], ids=["zeros", "one", "first-last", "inf-first", "-inf", "inf-minus-inf", "nan"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sparse_window_sums_edge_cases(where, values):
+    x = np.zeros(functionals._SPARSE_MIN + 100)
+    x[where] = values
+    dense = _dense_prefix_sums(x)
+    assert np.array_equal(_bits(functionals._prefix_sums(x)), _bits(dense))
+    for m, d in ((1, 1), (2500, 1), (2500, 13), (x.size, 1)):
+        starts = np.arange(0, x.size - m + 1, d)
+        expected = (dense[starts + m] - dense[starts]) / m
+        got = mean_estimator().sliding_estimates(x, starts, m)
+        assert np.array_equal(_bits(got), _bits(expected)), (m, d)
+
+
+def test_sparse_prefix_sums_sign_of_zero():
+    # x + 0.0 == x bit for bit except -0.0 + 0.0 = +0.0: the sparse sums hold
+    # +0.0 where the dense ones hold -0.0, over a leading run of -0.0 terms,
+    # and are bit-identical everywhere else
+    x = np.zeros(functionals._SPARSE_MIN)
+    x[:50] = -0.0
+    x[[60, 61, 5000]] = [1.5, -1.5, 2.0]
+    x[5001:5100] = -0.0
+    sparse, dense = functionals._prefix_sums(x), _dense_prefix_sums(x)
+    assert np.array_equal(sparse, dense)
+    negative = np.signbit(dense) & (dense == 0)
+    assert np.array_equal(np.flatnonzero(negative), np.arange(1, 51))
+    assert not np.signbit(sparse[negative]).any()
+    assert np.array_equal(_bits(sparse[~negative]), _bits(dense[~negative]))
+    # a window of zeros then sums to +0.0, where the dense sums give -0.0 for
+    # the window at the first term
+    sums = mean_estimator().sliding_estimates(x, np.arange(0, 40, 10), 10)
+    assert np.array_equal(_bits(sums), _bits(np.zeros(4)))
+    assert np.signbit(dense[10] - dense[0])
+
+
+@pytest.mark.parametrize("tag", ["mean", "ar1", "nhpp:0.5", "cvar:0.7:0.5", "cvartail:0.99:2.3"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_even_and_uneven_starts_give_the_same_sums(tag, sparse, rng):
+    # evenly spaced starts read strided slices; the same windows in another
+    # order, or with one start repeated, are gathered
+    n = functionals._SPARSE_MIN + 500
+    if sparse:
+        x = np.zeros(n)
+        x[rng.integers(0, n, 30)] = 3.0 + rng.standard_normal(30) ** 2
+    else:
+        x = np.abs(rng.standard_normal(n)) if tag.startswith("nhpp") else rng.standard_normal(n)
+    est = parse_estimator_tag(tag)
+    for m, d in ((300, 1), (300, 7), (2000, 250)):
+        starts = np.arange(0, n - m + 1, d)
+        even = est.sliding_estimates(x, starts, m)
+        order = rng.permutation(starts.size)
+        assert np.array_equal(_bits(est.sliding_estimates(x, starts[order], m)), _bits(even[order]))
+        repeated = np.append(starts, starts[-1])
+        assert np.array_equal(_bits(est.sliding_estimates(x, repeated, m)), _bits(np.append(even, even[-1])))
+
+
+@pytest.mark.parametrize("starts,step", [
+    ([], 0), ([5], 1), ([0, 3, 6, 9], 3), ([2, 3], 1), ([0, 3, 7], 0), ([6, 3, 0], 0), ([2, 2], 0),
+])
+def test_even_step(starts, step):
+    assert functionals._even_step(np.array(starts, dtype=np.intp)) == step
 
 
 def test_prefix_estimates_running_means():

@@ -35,7 +35,7 @@ _GUARD = textwrap.dedent(
         return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing"))
 
     import obci, obci.cli
-    seen = {"import": lazy()}
+    seen = {"import": lazy() + sorted(m for m in sys.modules if m.startswith("numpy.random"))}
     work = Path(sys.argv[1])
     data = work / "data.txt"
     data.write_text("\\n".join(str(v) for v in obci.SeedSpec(5, 0).generator().standard_normal(400)))
