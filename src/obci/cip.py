@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DegenerateIntervalError
-from .functionals import FunctionalEstimator, _at, _even_step, _prefix_sums, _window_sums
+from .functionals import FunctionalEstimator
 from .limits import (
     DEFAULT_REPLICATIONS,
     INFINITE,
@@ -118,16 +118,9 @@ def var_ob3(
     weight = weight or constant_sqrt12()
     m = layout.m
     if getattr(est, "window_mean", False) and weight.constant is not None:
-        # prefix sums collapse the double loop: j * (estimate on the first j)
-        # is a cumulative-sum difference over div, so each batch area term is O(1)
-        c = _prefix_sums(est.num(data.values))
-        cc = _prefix_sums(c[1:])
-        s, step = layout.starts, _even_step(layout.starts)
-        # sum_j (C[s+j] - C[s]) for j = 1..m
-        inner = _window_sums(cc, s, step, m) - m * _at(c, s, step, 0)
-        batch_mean = _window_sums(c, s, step, m) / m
-        jsum = m * (m + 1) / 2.0
-        terms = weight.constant * (inner - batch_mean * jsum) / (m * math.sqrt(m) * est.div)
+        # prefix sums collapse the double loop: each batch area term is O(1)
+        areas = est.prefix_deviation_sums(data.values, layout.starts, m)
+        terms = weight.constant * areas / (m * math.sqrt(m) * est.div)
         value = float(np.dot(terms, terms)) / layout.b
         return VarianceEstimate(value=value, method="ob3", kappa_used=1.0)
     j = np.arange(1, m + 1)

@@ -32,7 +32,7 @@ from .functionals import (
 from .limits import WeightFunction, _process_pool, _require_picklable, _require_workers
 from .paths import SeedSpec, stream_generators
 from .series import TimeSeriesData, batch_estimates, make_layout
-from .subsampling import subsampling_interval
+from .subsampling import subsample_layout, subsampling_interval
 
 __all__ = [
     "GeneratorSpec",
@@ -340,7 +340,7 @@ def coverage_experiment(
     m = _resolve_m(config, generator.n)
     if config.method == "ss":
         cv = float("nan")
-        layout = make_layout(generator.n, int(round(math.sqrt(generator.n))), 1)
+        layout = subsample_layout(generator.n)
         beta_report = layout.m / generator.n
     else:
         layout = make_layout(generator.n, m, config.d)

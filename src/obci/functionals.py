@@ -11,9 +11,13 @@ three forms of one order-statistic estimator.  Each reads the
 its tail, every value at or above ``q``, ties with ``q`` included, and maps
 that ``(q, tail sum, tail count)`` triple to ``q``, to the normalized sum
 ``sum / (w (1 - gamma))`` or to the mean ``sum / count``, with one map in
-``estimate``, ``sliding_estimates`` and ``prefix_estimates``.  The sliding
-kernel is banded: windows whose starts are a step ``d`` apart go in blocks of
-``B = ceil(sqrt(m / d))`` (1 below ``m = 64 d`` and for uneven starts) that
+``estimate``, ``sliding_estimates`` and ``prefix_estimates``.
+
+``sliding_estimates`` takes its window starts as a ``range`` of step ``d``
+(batch layouts and subsamples are arithmetic progressions), so every kernel
+reads its windows through strided slices, with no gather and no index array.
+The plug-in sliding kernel is banded: the windows go in blocks of
+``B = ceil(sqrt(m / d))`` (1 below ``m = 64 d``) that
 share the core ``x[s + e : s + m]``, ``e = (B - 1) d``.  The core is
 partitioned once, and each window selects ``q`` from ``2 e + 1`` candidates,
 the core's band around rank ``k`` and its own ``e`` edge values, so a window
@@ -28,10 +32,9 @@ one partition per prefix; the tail of prefix ``j`` is the upper heap plus the
 values in the lower heap that tie with ``q_j``, the same rule.
 
 The window-sum estimators (mean, NHPP rate, known-``q`` CVaR forms, AR(1))
-read each window as the difference of two prefix sums ``[0, cumsum(terms)]``.
-Starts a constant step apart, which every caller passes (batch layouts,
-subsamples and the OB-III closed form), read those sums through two strided
-slices, with no gather and no index array; uneven starts are gathered.  A
+read each window as the difference of two prefix sums ``[0, cumsum(terms)]``,
+as do a window mean's OB-III areas.  A window that reads a non-finite prefix
+sum (an overflow, or a non-finite term) takes ``estimate``'s value.  A
 long series whose terms are mostly zero builds its prefix sums from the
 nonzero terms alone, the same sums bit for bit (see :func:`_prefix_sums`):
 one NHPP replication's batch estimates (50,000 counts of mean 6e-4, about
@@ -105,9 +108,9 @@ class FunctionalEstimator:
             )
         return window
 
-    def sliding_estimates(self, x: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
-        """Estimates over the windows ``x[s : s + m]``, NaN where degenerate."""
-        x = np.asarray(x, dtype=float)
+    def sliding_estimates(self, x: np.ndarray, starts: range, m: int) -> np.ndarray:
+        """Estimates over the windows ``x[s : s + m]``, ``s`` in a range, NaN where degenerate."""
+        x = _windowed(x, starts, m)
         out = np.full(len(starts), np.nan)
         for i, s in enumerate(starts):
             try:
@@ -135,13 +138,26 @@ class FunctionalEstimator:
 _Terms = Callable[[np.ndarray], np.ndarray]
 
 
-def _even_step(starts) -> int:
-    """The common step of evenly spaced ``starts`` (1 for a single start), or
-    0 for uneven starts and for none."""
-    if not len(starts):
-        return 0
-    d = int(starts[1] - starts[0]) if len(starts) > 1 else 1
-    return d if d > 0 and (starts[1:] - starts[:-1] == d).all() else 0
+def _windowed(x, starts, m) -> np.ndarray:
+    """``x`` as floats, once ``starts`` is a ``range`` of step >= 1 (else TypeError)
+    whose windows ``x[s : s + m]`` lie in ``x`` (else ValueError)."""
+    x = np.asarray(x, dtype=float)
+    if not isinstance(starts, range) or starts.step < 1:
+        raise TypeError(f"window starts must be a range of step 1 or more, not {starts!r}")
+    if len(starts) and (starts[0] < 0 or starts[-1] + m > x.size):
+        raise ValueError(f"windows of {m} from starts {starts!r} run outside a series of {x.size}")
+    return x
+
+
+def _span(starts: range, shift: int) -> slice:
+    """The strided slice of the positions ``s + shift``, ``s`` in ``starts``."""
+    first = starts.start + shift
+    return slice(first, first + len(starts) * starts.step, starts.step)
+
+
+def _window_sums(c: np.ndarray, starts: range, w: int) -> np.ndarray:
+    """Sums of the ``w`` terms from each start, from prefix sums ``c``."""
+    return c[_span(starts, w)] - c[_span(starts, 0)]
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
@@ -172,19 +188,6 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     c[0] = 0.0
     np.add.accumulate(terms, dtype=float, out=c[1:])
     return c
-
-
-def _at(c: np.ndarray, starts: np.ndarray, step: int, shift: int) -> np.ndarray:
-    """``c[starts + shift]``; starts ``step > 0`` apart are read as a strided
-    slice, with no gather and no index array."""
-    if step:
-        return c[starts[0] + shift : starts[-1] + shift + 1 : step]
-    return c[starts + shift]
-
-
-def _window_sums(c: np.ndarray, starts: np.ndarray, step: int, w: int) -> np.ndarray:
-    """Sums of the ``w`` terms from each start, from prefix sums ``c``."""
-    return _at(c, starts, step, w) - _at(c, starts, step, 0)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -222,21 +225,39 @@ class _WindowSum(FunctionalEstimator):
         return float(self.num(window).sum() / (den * self.div))
 
     def sliding_estimates(self, x, starts, m):
-        x = np.asarray(x, dtype=float)
-        step = _even_step(starts)
+        x = _windowed(x, starts, m)
         w = m - self.lag
-        num = _window_sums(_prefix_sums(self.num(x)), starts, step, w)
+        finite = len(starts)  # the windows from here on read a non-finite prefix sum
+
+        def window_sums(terms):
+            nonlocal finite
+            c = _prefix_sums(terms(x))
+            if not math.isfinite(c[-1]):  # a running sum stays non-finite once it is
+                finite = min(finite, int(np.isfinite(c[_span(starts, w)]).sum()))
+            return _window_sums(c, starts, w)
+
+        out = window_sums(self.num)
         if self.den is None and self.support is None:
-            num /= m * self.div
-            return num
-        den = m if self.den is None else _window_sums(_prefix_sums(self.den(x)), starts, step, w)
-        defined = den >= _TINY
-        if self.support is not None:
-            support = _window_sums(_prefix_sums(self.support(x)), starts, step, w)
-            defined = defined & (support > 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = num / (den * self.div)
-        return np.where(defined, out, np.nan)
+            out /= m * self.div
+        else:
+            den = m if self.den is None else window_sums(self.den)
+            defined = den >= _TINY
+            if self.support is not None:
+                defined = defined & (window_sums(self.support) > 0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.where(defined, out / (den * self.div), np.nan)
+        if finite < len(starts):  # those windows take estimate's value, NaN where degenerate
+            out[finite:] = FunctionalEstimator.sliding_estimates(self, x, starts[finite:], m)
+        return out
+
+    def prefix_deviation_sums(self, x, starts: range, m: int) -> np.ndarray:
+        """Per window of a window mean, ``sum_j j (theta_j - theta_m) div`` over
+        its prefixes ``j = 1..m``: the OB-III area before its weight and scale."""
+        x = _windowed(x, starts, m)
+        c = _prefix_sums(self.num(x))
+        # sum_j (C[s+j] - C[s]) for j = 1..m, less the window mean times sum_j j
+        inner = _window_sums(_prefix_sums(c[1:]), starts, m) - m * c[_span(starts, 0)]
+        return inner - _window_sums(c, starts, m) / m * (m * (m + 1) / 2.0)
 
 
 def _identity(x):
@@ -266,29 +287,23 @@ def _at_or_above(q, x):
 
 
 def _block_size(m, d):
-    """Windows per block of the banded kernel, for starts a constant step
-    ``d`` apart: ``ceil(sqrt(m / d))``, which keeps the shared core above
-    7/8 of a window.  Below ``m = 64 d``, and for uneven starts (``d = 0``),
-    it is 1: there the fixed cost of the blocks outweighs the work saved."""
-    if d <= 0 or m < 64 * d:
-        return 1
-    return math.ceil(math.sqrt(m / d))
+    """Windows per block of the banded kernel, for starts a step ``d`` apart:
+    ``ceil(sqrt(m / d))``, which keeps the shared core above 7/8 of a window.
+    Below ``m = 64 d`` it is 1: there the fixed cost of the blocks outweighs
+    the work saved."""
+    return 1 if m < 64 * d else math.ceil(math.sqrt(m / d))
 
 
 def _sliding_order_stats(x, starts, m, k, tails=False):
-    """Per window ``x[s : s + m]``: its ``k``-th smallest value ``q`` and, with
-    ``tails``, the sum and the count of its values at or above ``q``.
+    """Per window ``x[s : s + m]``, ``s`` in the range ``starts``: its ``k``-th
+    smallest value ``q`` and, with ``tails``, the sum and the count of its
+    values at or above ``q``.
 
-    The windows go in blocks of ``_block_size(m, d)`` consecutive starts (the
-    last block may be shorter); see :func:`_banded_blocks`.  Returns
-    ``(q, sums, counts)``, the last two None without ``tails``.
+    The windows go in blocks of ``_block_size(m, starts.step)`` consecutive
+    starts (the last block may be shorter); see :func:`_banded_blocks`.
+    Returns ``(q, sums, counts)``, the last two None without ``tails``.
     """
-    x = np.asarray(x, dtype=float)
-    starts = np.asarray(starts, dtype=np.intp)
-    d = _even_step(starts)
-    if d:
-        # evenly spaced: every block's rows are a strided view of x
-        starts = range(int(starts[0]), int(starts[-1]) + 1, d)
+    d = starts.step
     size = _block_size(m, d)
     q = np.empty(len(starts))
     sums = np.empty(len(starts)) if tails else None
@@ -301,13 +316,9 @@ def _sliding_order_stats(x, starts, m, k, tails=False):
     return q, sums, counts
 
 
-def _gather(view, s, shift, out):
-    """Copy the rows ``view[s + shift]`` into ``out``; a range of starts is
-    read through a strided view, with no temporary."""
-    if isinstance(s, range):
-        np.copyto(out, view[s.start + shift : s.stop + shift : s.step])
-    else:
-        out[...] = view[s + shift]
+def _gather(view, starts, shift, out):
+    """Copy the rows ``view[s + shift]``, ``s`` in ``starts``, into ``out``."""
+    np.copyto(out, view[_span(starts, shift)])
     return out
 
 
@@ -475,6 +486,7 @@ class _OrderStatistic(FunctionalEstimator):
         return float(self._value(q, part[k - 1 :].sum() + q * ties, w - k + 1 + ties, w))
 
     def sliding_estimates(self, x, starts, m):
+        x = _windowed(x, starts, m)
         k = math.ceil(self.gamma * m)
         q, sums, counts = _sliding_order_stats(x, starts, m, k, tails=self.form != "quantile")
         return self._value(q, sums, counts, m)

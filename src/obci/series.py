@@ -75,13 +75,13 @@ def load_series(path: str | Path) -> TimeSeriesData:
 
 @dataclass(frozen=True)
 class BatchLayout:
-    """Geometry ``(n, m, d, b)`` with 0-based start indices."""
+    """Geometry ``(n, m, d, b)`` with 0-based batch starts, a ``range`` of step ``d``."""
 
     n: int
     m: int
     d: int
     b: int
-    starts: np.ndarray
+    starts: range
 
     @property
     def beta_hat(self) -> float:
@@ -97,8 +97,7 @@ def make_layout(n: int, m: int, d: int) -> BatchLayout:
     b = (n - m) // d + 1
     if b < 2:
         raise ValueError(f"layout (n={n}, m={m}, d={d}) yields fewer than 2 batches")
-    starts = np.arange(b) * d
-    return BatchLayout(n=n, m=m, d=d, b=b, starts=starts)
+    return BatchLayout(n=n, m=m, d=d, b=b, starts=range(0, b * d, d))
 
 
 def layout_from_fractions(n: int, beta_target: float, d: int) -> BatchLayout:

@@ -17,9 +17,11 @@ import numpy as np
 from .cip import IntervalResult, classify_b_inf
 from .errors import DegenerateIntervalError
 from .functionals import FunctionalEstimator
-from .series import TimeSeriesData, make_layout
+from .series import BatchLayout, TimeSeriesData, make_layout
 
-__all__ = ["SubsamplingDistribution", "subsample_distribution", "subsampling_interval"]
+__all__ = [
+    "SubsamplingDistribution", "subsample_distribution", "subsample_layout", "subsampling_interval",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -53,18 +55,24 @@ def subsample_distribution(
     if not 2 <= m < n:
         raise ValueError(f"subsample size m={m} must satisfy 2 <= m < n={n}")
     x = data.values
-    starts = np.arange(n - m + 1)
     full = estimator.estimate(x)
-    roots = estimator.sliding_estimates(x, starts, m)
+    roots = estimator.sliding_estimates(x, range(n - m + 1), m)
     valid = ~np.isnan(roots)
-    dropped = int(starts.size - valid.sum())
+    dropped = int(roots.size - valid.sum())
     if dropped:
-        logger.info("dropped %d degenerate subsamples of %d", dropped, starts.size)
+        logger.info("dropped %d degenerate subsamples of %d", dropped, roots.size)
     values = np.sort(math.sqrt(m) * (roots[valid] - full))
     return SubsamplingDistribution(
         values=values, m=m, full=full, tau_full=math.sqrt(n), tau_sub=math.sqrt(m),
         dropped=dropped,
     )
+
+
+def subsample_layout(n: int) -> BatchLayout:
+    """The subsamples of the recommended size m = round(sqrt(n)), as batches one apart."""
+    if n < 9:
+        raise ValueError("subsampling needs n >= 9 so that m = round(sqrt(n)) >= 3")
+    return make_layout(n, int(round(math.sqrt(n))), 1)
 
 
 def subsampling_interval(
@@ -77,10 +85,8 @@ def subsampling_interval(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    n = data.n
-    if n < 9:
-        raise ValueError("subsampling needs n >= 9 so that m = round(sqrt(n)) >= 3")
-    m = int(round(math.sqrt(n)))
+    layout = subsample_layout(data.n)
+    n, m = layout.n, layout.m
     dist = subsample_distribution(data, m, estimator)
     if dist.values.size < 10:
         raise DegenerateIntervalError(
@@ -91,7 +97,6 @@ def subsampling_interval(
     c_lo = dist.quantile(alpha / 2.0)
     lower = full - c_hi / math.sqrt(n)
     upper = full - c_lo / math.sqrt(n)
-    layout = make_layout(n, m, 1)
     return IntervalResult(
         method="ss",
         center=full,

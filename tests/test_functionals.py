@@ -137,7 +137,7 @@ def test_nhpp_examples():
     with pytest.raises(ValueError):
         est.estimate(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
-        est.sliding_estimates(np.array([1.0, -1.0, 2.0]), np.arange(2), 2)
+        est.sliding_estimates(np.array([1.0, -1.0, 2.0]), range(2), 2)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +171,7 @@ def test_sliding_matches_single_window(factory, rng):
     est = factory()
     x = np.abs(rng.standard_normal(300)) if est.tag.startswith("nhpp") else rng.standard_normal(300)
     m = max(40, est.min_window)
-    starts = np.arange(0, 300 - m + 1, 7)
+    starts = range(0, 300 - m + 1, 7)
     fast = est.sliding_estimates(x, starts, m)
     assert fast is not None
     slow = np.array([est.estimate(x[s : s + m]) for s in starts])
@@ -184,6 +184,14 @@ def _bits(a):
 
 def _dense_prefix_sums(terms):
     return np.concatenate(([0.0], np.cumsum(terms)))
+
+
+def _reference_means(x, starts, m):
+    """Window means as dense prefix-sum differences, and estimate's value for
+    a window that reads a non-finite prefix sum."""
+    dense, est = _dense_prefix_sums(x), mean_estimator()
+    return np.array([(dense[s + m] - dense[s]) / m if np.isfinite(dense[s + m])
+                     else est.estimate(x[s : s + m]) for s in starts])
 
 
 @st.composite
@@ -205,17 +213,15 @@ def sparse_series(draw):
 
 @given(sparse_series(), st.integers(1, 5000), st.integers(1, 9))
 @settings(max_examples=80, deadline=None)
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
 def test_sparse_prefix_sums_equal_dense(x, m, d):
     assert np.count_nonzero(x) < x.size * functionals._SPARSE_SHARE
     dense = _dense_prefix_sums(x)
     assert np.array_equal(_bits(functionals._prefix_sums(x)), _bits(dense))
-    # and the window sums through the public kernel, strided and gathered
-    starts = np.arange(0, x.size - m + 1, d)
-    expected = (dense[starts + m] - dense[starts]) / m
-    est = mean_estimator()
-    assert np.array_equal(_bits(est.sliding_estimates(x, starts, m)), _bits(expected))
-    assert np.array_equal(_bits(est.sliding_estimates(x, starts[::-1], m)), _bits(expected[::-1]))
+    # and the window sums through the public kernel
+    starts = range(0, x.size - m + 1, d)
+    got = mean_estimator().sliding_estimates(x, starts, m)
+    assert np.array_equal(_bits(got), _bits(_reference_means(x, starts, m)))
 
 
 @pytest.mark.parametrize("where,values", [
@@ -234,10 +240,9 @@ def test_sparse_window_sums_edge_cases(where, values):
     dense = _dense_prefix_sums(x)
     assert np.array_equal(_bits(functionals._prefix_sums(x)), _bits(dense))
     for m, d in ((1, 1), (2500, 1), (2500, 13), (x.size, 1)):
-        starts = np.arange(0, x.size - m + 1, d)
-        expected = (dense[starts + m] - dense[starts]) / m
+        starts = range(0, x.size - m + 1, d)
         got = mean_estimator().sliding_estimates(x, starts, m)
-        assert np.array_equal(_bits(got), _bits(expected)), (m, d)
+        assert np.array_equal(_bits(got), _bits(_reference_means(x, starts, m))), (m, d)
 
 
 def test_sparse_prefix_sums_sign_of_zero():
@@ -256,7 +261,7 @@ def test_sparse_prefix_sums_sign_of_zero():
     assert np.array_equal(_bits(sparse[~negative]), _bits(dense[~negative]))
     # a window of zeros then sums to +0.0, where the dense sums give -0.0 for
     # the window at the first term
-    sums = mean_estimator().sliding_estimates(x, np.arange(0, 40, 10), 10)
+    sums = mean_estimator().sliding_estimates(x, range(0, 40, 10), 10)
     assert np.array_equal(_bits(sums), _bits(np.zeros(4)))
     assert np.signbit(dense[10] - dense[0])
 
@@ -264,8 +269,9 @@ def test_sparse_prefix_sums_sign_of_zero():
 @pytest.mark.parametrize("tag", ["mean", "ar1", "nhpp:0.5", "cvar:0.7:0.5", "cvartail:0.99:2.3"])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_even_and_uneven_starts_give_the_same_sums(tag, sparse, rng):
-    # evenly spaced starts read strided slices; the same windows in another
-    # order, or with one start repeated, are gathered
+    # a range of starts reads strided slices of the prefix sums, dense or
+    # sparse, and agrees with the base-class loop over estimate(); the same
+    # starts in another order are not a range and are refused
     n = functionals._SPARSE_MIN + 500
     if sparse:
         x = np.zeros(n)
@@ -274,19 +280,12 @@ def test_even_and_uneven_starts_give_the_same_sums(tag, sparse, rng):
         x = np.abs(rng.standard_normal(n)) if tag.startswith("nhpp") else rng.standard_normal(n)
     est = parse_estimator_tag(tag)
     for m, d in ((300, 1), (300, 7), (2000, 250)):
-        starts = np.arange(0, n - m + 1, d)
-        even = est.sliding_estimates(x, starts, m)
-        order = rng.permutation(starts.size)
-        assert np.array_equal(_bits(est.sliding_estimates(x, starts[order], m)), _bits(even[order]))
-        repeated = np.append(starts, starts[-1])
-        assert np.array_equal(_bits(est.sliding_estimates(x, repeated, m)), _bits(np.append(even, even[-1])))
-
-
-@pytest.mark.parametrize("starts,step", [
-    ([], 0), ([5], 1), ([0, 3, 6, 9], 3), ([2, 3], 1), ([0, 3, 7], 0), ([6, 3, 0], 0), ([2, 2], 0),
-])
-def test_even_step(starts, step):
-    assert functionals._even_step(np.array(starts, dtype=np.intp)) == step
+        starts = range(0, n - m + 1, d)
+        fast = est.sliding_estimates(x, starts, m)
+        slow = FunctionalEstimator.sliding_estimates(est, x, starts, m)
+        np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-12)
+        with pytest.raises(TypeError):
+            est.sliding_estimates(x, np.array(starts)[rng.permutation(len(starts))], m)
 
 
 def test_prefix_estimates_running_means():
@@ -323,7 +322,7 @@ def test_sum_form_sliding_equals_estimate_on_every_window(factory):
     est = factory()
     degenerate = 0
     for m in range(est.min_window, est.min_window + 6):
-        starts = np.arange(x.size - m + 1)
+        starts = range(x.size - m + 1)
         for s, value in zip(starts, est.sliding_estimates(x, starts, m)):
             try:
                 expected = est.estimate(x[s : s + m])
@@ -335,24 +334,59 @@ def test_sum_form_sliding_equals_estimate_on_every_window(factory):
     assert (degenerate > 0) == (est.tag.split(":")[0] in ("ar1", "cvar", "cvartail"))
 
 
+class _NonzeroMean(FunctionalEstimator):
+    """A user estimator that defines only ``estimate``."""
+
+    tag = "nonzero-mean"
+    min_window = 2
+
+    def estimate(self, window):
+        window = self.check_window(window)
+        if not window.any():
+            raise DegenerateEstimateError("all zero")
+        return float(window.mean())
+
+
 def test_user_estimator_needs_only_estimate():
-    class NonzeroMean(FunctionalEstimator):
-        tag = "nonzero-mean"
-        min_window = 2
-
-        def estimate(self, window):
-            window = self.check_window(window)
-            if not window.any():
-                raise DegenerateEstimateError("all zero")
-            return float(window.mean())
-
     x = np.array([1.0, 0.0, 0.0, 3.0])
     np.testing.assert_array_equal(
-        NonzeroMean().sliding_estimates(x, np.arange(3), 2), [0.5, np.nan, 1.5]
+        _NonzeroMean().sliding_estimates(x, range(3), 2), [0.5, np.nan, 1.5]
     )
     with pytest.raises(DegenerateEstimateError) as err:
-        batch_estimates(TimeSeriesData(x), make_layout(4, 2, 1), NonzeroMean())
+        batch_estimates(TimeSeriesData(x), make_layout(4, 2, 1), _NonzeroMean())
     assert err.value.batch_index == 2
+
+
+@pytest.mark.parametrize("est", [mean_estimator(), quantile_estimator(0.9), _NonzeroMean()],
+                         ids=["mean", "quantile:0.9", "user"])
+def test_sliding_starts_are_a_range_inside_the_series(est):
+    # every sliding kernel, the base-class loop included, takes its starts
+    # only as a range of step 1 or more whose windows lie in the series
+    x = np.arange(1.0, 21.0)
+    m = 5
+    assert est.sliding_estimates(x, range(0, 16, 3), m).size == 6
+    for starts in (np.arange(0, 16, 3), [2, 2, 2], range(15, -1, -3)):
+        with pytest.raises(TypeError, match="range"):
+            est.sliding_estimates(x, starts, m)
+    for starts in (range(0, 17), range(1, 17, 5), range(-1, 10)):
+        with pytest.raises(ValueError, match="outside"):
+            est.sliding_estimates(x, starts, m)
+    for starts in (range(0), range(30, 30), range(0, -5)):
+        out = est.sliding_estimates(x, starts, m)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore:(invalid value|overflow) encountered:RuntimeWarning")
+def test_window_sums_after_an_overflow_take_estimate():
+    # the running sum overflows at the second term and stays non-finite; each
+    # window that reads a non-finite prefix sum takes estimate's value
+    x = np.array([1e308, 1e308, -1e308, -1e308, 1, 2, 3, 4])
+    assert mean_estimator().sliding_estimates(x, range(0, 8, 2), 2).tolist() == [np.inf, -np.inf, 1.5, 3.5]
+    assert mean_estimator().estimate(x[2:4]) == -np.inf
+    # and NaN where estimate finds the window degenerate
+    y = np.array([np.inf, 0.0, 1.0, 2.0, 20.0, 30.0])
+    got = cvar_tail_mean_estimator(0.5, q=10.0).sliding_estimates(y, range(0, 6, 2), 2)
+    np.testing.assert_array_equal(got, [np.inf, np.nan, 25.0])
 
 
 def _plugin_reference(form, gamma, window):
@@ -394,7 +428,7 @@ def test_plugin_sliding_equals_estimate_on_tied_windows(tag):
     # the tail is every value at or above the ceil(gamma m)-th order statistic,
     # ties included, in both paths; every sum here is exact
     est = parse_estimator_tag(tag)
-    starts = np.arange(TIED.size - 10 + 1)
+    starts = range(TIED.size - 10 + 1)
     sliding = est.sliding_estimates(TIED, starts, 10)
     assert list(sliding) == [est.estimate(TIED[s : s + 10]) for s in starts]
     # start 5: five 3s at or above q = 3, over 10 * 0.3; start 9: q = 2 and
@@ -410,7 +444,7 @@ def test_plugin_sliding_does_not_depend_on_chunking(tag, rng, monkeypatch):
     est = parse_estimator_tag(tag)
     x = rng.standard_normal(2000)
     m = 200
-    starts = np.arange(0, x.size - m + 1, 3)
+    starts = range(0, x.size - m + 1, 3)
     assert functionals._block_size(m, 3) == 9
     gathers = []
     gather = functionals._gather
@@ -449,7 +483,8 @@ def test_banded_kernel_matches_every_window(d):
     for m in (cvar_min_window(0.99), 64 * d + 5, 70 * d + 31):
         size = functionals._block_size(m, d)
         b = 3 * max(size, 20) + 2
-        starts = gen.integers(0, 50) + d * np.arange(b)
+        first = int(gen.integers(0, 50))
+        starts = range(first, first + d * b, d)
         banded += size > 1 and b % size != 0
         for tied in (False, True):
             x = gen.integers(0, 4, starts[-1] + m).astype(float) if tied else gen.standard_normal(starts[-1] + m)
@@ -468,23 +503,12 @@ def test_banded_kernel_matches_every_window(d):
     assert banded >= 2
 
 
-@pytest.mark.parametrize("tied", [False, True])
-def test_banded_kernel_takes_uneven_starts(tied):
-    gen = np.random.default_rng(8)
-    m = 300
-    starts = np.cumsum(gen.integers(0, 6, 400))
-    starts[200:] = starts[199] + np.arange(1, 201)  # evenly spaced from here on
-    x = gen.integers(0, 4, starts[-1] + m).astype(float) if tied else gen.standard_normal(starts[-1] + m)
-    for gamma in (0.05, 0.7, 0.9):
-        _check_kernel(x, starts, m, math.ceil(gamma * m), tied)
-
-
 def test_plugin_sliding_memory_is_bounded(rng):
     # 15,001 windows of 5000 values: a full window copy would need 600 MB;
     # 75,001 windows of 25,000 (the paper's n = 10^5, beta = 1/4) 15 GB
     for n, m in ((20_000, 5000), (100_000, 25_000)):
         x = rng.standard_normal(n)
-        starts = np.arange(x.size - m + 1)
+        starts = range(x.size - m + 1)
         for est in (quantile_estimator(0.9), cvar_tail_mean_estimator(0.9)):
             tracemalloc.start()
             try:

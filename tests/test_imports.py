@@ -87,3 +87,16 @@ def test_cvar_study_truth(gamma):
     q = float(stats.norm.ppf(gamma))
     assert truth == float(stats.norm.pdf(q) / (1.0 - gamma))
     assert est.num.args == (q,) and est.den.args == (q,)
+
+
+def test_cip_takes_no_private_name_from_functionals():
+    # the OB-III closed form reads its prefix sums through a method of the
+    # window-sum estimator, not through the helpers behind it
+    import obci.cip
+
+    taken = sorted(
+        name for name, value in vars(obci.cip).items()
+        if name.startswith("_") and not name.startswith("__")
+        and getattr(value, "__module__", None) == "obci.functionals"
+    )
+    assert taken == []

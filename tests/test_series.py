@@ -23,10 +23,10 @@ def test_layout_examples():
     assert make_layout(100, 25, 1).b == 76
     lay = make_layout(1000, 250, 250)
     assert lay.b == 4
-    np.testing.assert_array_equal(lay.starts + 1, [1, 251, 501, 751])
+    assert lay.starts == range(0, 1000, 250)  # batches 1, 251, 501, 751, 1-based
     lay = make_layout(10, 4, 3)
     assert lay.b == 3
-    np.testing.assert_array_equal(lay.starts + 1, [1, 4, 7])
+    assert lay.starts == range(0, 9, 3)  # batches 1, 4, 7
 
 
 def test_layout_from_fractions_examples():
