@@ -9,7 +9,6 @@ limit laws, a subsampling baseline, and a coverage-experiment harness.
 from .cip import (
     IntervalResult,
     MonteCarloCriticalValues,
-    TableCriticalValues,
     VarianceEstimate,
     build_interval,
     classify_b_inf,

@@ -20,7 +20,6 @@ from .limits import (
     DEFAULT_REPLICATIONS,
     INFINITE,
     BatchAsymptotics,
-    CriticalValueTable,
     WeightFunction,
     _check_levels,
     constant_sqrt12,
@@ -43,8 +42,13 @@ __all__ = [
     "build_interval",
     "CriticalValueSource",
     "MonteCarloCriticalValues",
-    "TableCriticalValues",
+    "CRITVAL_SEED",
+    "default_cv_source",
 ]
+
+# The master seed of Monte Carlo critical values when none is named: the
+# default source's, and the CLI's seed defaults.
+CRITVAL_SEED = 20240601
 
 
 @dataclass(frozen=True)
@@ -85,17 +89,10 @@ def var_ob1(est: BatchEstimates, layout: BatchLayout) -> VarianceEstimate:
     return VarianceEstimate(value=value, method="ob1", kappa_used=kap)
 
 
-def var_ob2(
-    est: BatchEstimates, layout: BatchLayout, b_inf_mode: float | None = None
-) -> VarianceEstimate:
-    """Scaled batch sample variance around the batching mean.
-
-    ``b_inf_mode`` is the declared asymptotic batch-count class (finite value
-    or INFINITE); by default it is classified from the layout.
-    """
-    if b_inf_mode is None:
-        b_inf_mode = classify_b_inf(layout)
-    kap = kappa2(layout.beta_hat, b_inf_mode)
+def var_ob2(est: BatchEstimates, layout: BatchLayout) -> VarianceEstimate:
+    """Scaled batch sample variance around the batching mean, with the bias
+    constant of the layout's ``b_inf`` class."""
+    kap = kappa2(layout.beta_hat, classify_b_inf(layout))
     if kap <= 0:
         raise DegenerateIntervalError(f"kappa2 is not positive for this geometry: {kap}")
     dev = est.per_batch - est.batching_mean
@@ -179,6 +176,14 @@ class IntervalResult:
 
 
 class CriticalValueSource(Protocol):
+    """Anything that answers ``critical_value(method, asym, q)``.
+
+    A source's ``weight`` attribute is the OB-III weight of its critical
+    values, and :func:`build_interval` and the coverage harness pair it with
+    the OB-III variance; a source without one (a ``CriticalValueTable``, a
+    fixed value) is the constant weight sqrt(12).
+    """
+
     def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float: ...
 
 
@@ -188,12 +193,13 @@ class MonteCarloCriticalValues:
 
     The cache holds one set of Studentized draws per (method, beta, b_inf)
     cell, so another quantile level of a cached cell costs a quantile, not a
-    redraw.
+    redraw.  ``weight`` (None: sqrt(12)) is the OB-III weight of the draws
+    and of the variance it is paired with.
     """
 
     replications: int = DEFAULT_REPLICATIONS
     grid_count: int = DEFAULT_GRID
-    master_seed: int = 20240601
+    master_seed: int = CRITVAL_SEED
     weight: WeightFunction | None = None
     workers: int = 1
     _draws: dict = field(default_factory=dict, repr=False)
@@ -216,16 +222,14 @@ class MonteCarloCriticalValues:
         return limit_quantiles(self._draws[key], [q])[0]
 
 
-@dataclass
-class TableCriticalValues:
-    """Critical values looked up from a precomputed table (nearest beta)."""
+_default_source = MonteCarloCriticalValues()
 
-    table: CriticalValueTable
 
-    def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float:
-        if asym.beta == 0:
-            return critical_value(method, asym, q)
-        return self.table.lookup(method, asym.beta, asym.b_inf, q)
+def default_cv_source() -> MonteCarloCriticalValues:
+    """The shared cached source that :func:`build_interval` and the coverage
+    harness use when given none: sqrt(12), ``DEFAULT_REPLICATIONS`` paths of
+    ``DEFAULT_GRID`` cells from ``CRITVAL_SEED``."""
+    return _default_source
 
 
 def assemble_interval(
@@ -274,7 +278,6 @@ def build_interval(
     alpha: float,
     estimator: FunctionalEstimator,
     cv_source: CriticalValueSource | None = None,
-    weight: WeightFunction | None = None,
     beta_declared: float | None = None,
     side: str = "two-sided",
 ) -> IntervalResult:
@@ -284,8 +287,9 @@ def build_interval(
     critical value (small-batch procedures declare 0 and get normal
     quantiles); the bias constants always use the realized m/n.  One-sided
     intervals use the 1 - alpha critical value on the requested side and
-    leave the other endpoint infinite.  Without ``cv_source``, critical
-    values are drawn with the same ``weight`` as the OB-III variance.
+    leave the other endpoint infinite.  ``cv_source`` defaults to
+    :func:`default_cv_source`; its ``weight`` is also the OB-III variance's,
+    and a source without one is sqrt(12).
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -298,11 +302,12 @@ def build_interval(
     layout = make_layout(data.n, m, d)
     # checks beta_declared before the estimates are paid for
     asym = _limit_regime(layout, beta_declared)
+    source = default_cv_source() if cv_source is None else cv_source
     estimates = batch_estimates(data, layout, estimator)
+    weight = getattr(source, "weight", None)
     variance = _estimate_variance(method, data, layout, estimator, estimates, weight)
-    cv_source = cv_source or MonteCarloCriticalValues(weight=weight)
     q = 1.0 - alpha / 2.0 if side == "two-sided" else 1.0 - alpha
-    cv = cv_source.critical_value(method, asym, q)
+    cv = source.critical_value(method, asym, q)
     result = assemble_interval(method, estimates, layout, alpha, cv, variance, beta_declared)
     if side == "lower":
         result = replace(result, upper=math.inf)

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import experiments, limits
-from .cip import MonteCarloCriticalValues, TableCriticalValues, build_interval
+from .cip import CRITVAL_SEED, MonteCarloCriticalValues, build_interval
 from .errors import DataFormatError, DegenerateEstimateError, DegenerateIntervalError
 from .functionals import parse_estimator_tag
 from .limits import (
@@ -42,7 +42,6 @@ EXIT_DEGENERATE_ESTIMATE = 4
 EXIT_DEGENERATE_INTERVAL = 5
 EXIT_OUT_OF_MEMORY = 6
 
-DEFAULT_MASTER_SEED = 20240601
 TABLE_DIR_ENV = "OBCI_TABLE_DIR"
 
 
@@ -147,11 +146,10 @@ def _run_ci(args: argparse.Namespace) -> int:
         else:
             if args.table:
                 try:
-                    table = CriticalValueTable.from_csv(_resolve_table_path(args.table))
+                    source = CriticalValueTable.from_csv(_resolve_table_path(args.table))
                 except (OSError, ValueError, KeyError) as exc:
                     print(f"ci: cannot read table {args.table}: {exc}", file=sys.stderr)
                     return EXIT_PARSE
-                source = TableCriticalValues(table)
             else:
                 # round to the table precision so in-process values match a
                 # written-then-reloaded table bit for bit
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--quantiles", required=True, help="comma list of quantile levels")
     p_cv.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
     p_cv.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p_cv.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_cv.add_argument("--seed", type=int, default=CRITVAL_SEED)
     p_cv.add_argument("--threads", type=int, default=1)
     p_cv.add_argument("--out", required=True)
     p_cv.set_defaults(func=_run_critvals)
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--beta-declared", dest="beta_declared", type=float)
     p_ci.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
     p_ci.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p_ci.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_ci.add_argument("--seed", type=int, default=CRITVAL_SEED)
     p_ci.add_argument("--threads", type=int, default=1)
     p_ci.set_defaults(func=_run_ci)
 
@@ -293,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--t", type=float, default=0.25, help="nhpp evaluation time")
     p_cov.add_argument("--delta", type=float, default=1e-4, help="nhpp increment length")
     p_cov.add_argument("--reps", type=int, default=10_000)
-    p_cov.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p_cov.add_argument("--seed", type=int, default=CRITVAL_SEED)
     p_cov.add_argument("--cv-reps", dest="cv_reps", type=int, default=DEFAULT_REPLICATIONS)
-    p_cov.add_argument("--cv-seed", dest="cv_seed", type=int, default=experiments.CRITVAL_SEED)
+    p_cov.add_argument("--cv-seed", dest="cv_seed", type=int, default=CRITVAL_SEED)
     p_cov.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_cov.add_argument("--threads", type=int, default=1)
     p_cov.set_defaults(func=_run_coverage)

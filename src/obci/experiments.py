@@ -16,11 +16,11 @@ import numpy as np
 
 from .cip import (
     CriticalValueSource,
-    MonteCarloCriticalValues,
     _estimate_variance,
     _limit_regime,
     assemble_interval,
     classify_b_inf,
+    default_cv_source,
 )
 from .errors import AllDegenerateError, DegenerateEstimateError, DegenerateIntervalError
 from .functionals import (
@@ -29,7 +29,7 @@ from .functionals import (
     cvar_tail_mean_estimator,
     nhpp_rate_estimator,
 )
-from .limits import WeightFunction, _process_pool, _require_picklable, _require_workers
+from .limits import _process_pool, _require_picklable, _require_workers
 from .paths import SeedSpec, stream_generators
 from .series import TimeSeriesData, batch_estimates, make_layout
 from .subsampling import subsample_layout, subsampling_interval
@@ -43,18 +43,11 @@ __all__ = [
     "offset_sweep",
     "study_setup",
     "small_batch_m",
-    "default_cv_source",
 ]
 
 # Replications per work block; fixed so aggregation order never depends on
 # the worker count.
 _REP_BLOCK = 512
-
-# Critical values for experiments come from a dedicated seed, separate from
-# the data-stream master seed.
-CRITVAL_SEED = 20240601
-
-_default_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED)
 
 # A Poisson series draws its counts from one block of raw words
 # (:func:`_poisson_counts`) when ``n * (_POISSON_BLOCK_LAM - lam)`` reaches
@@ -68,11 +61,6 @@ _default_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED)
 _POISSON_BLOCK_LAM = 0.01
 _POISSON_BLOCK_STEPS = 6.0
 _UNIFORM_STEP = 2.0**-53
-
-
-def default_cv_source() -> MonteCarloCriticalValues:
-    """Shared cached Monte Carlo critical-value source for experiments."""
-    return _default_source
 
 
 @dataclass(frozen=True)
@@ -318,20 +306,21 @@ def coverage_experiment(
     replications: int,
     master_seed: int,
     cv_source: CriticalValueSource | None = None,
-    weight: WeightFunction | None = None,
     workers: int = 1,
     study: str = "custom",
 ) -> CoverageReport:
     """Estimate the coverage probability of one interval procedure.
 
     Replication r uses data stream (master_seed, r); the critical value is
-    resolved once per configuration before replication starts.  Without
-    ``cv_source``, critical values are drawn with the same ``weight`` as the
-    OB-III variance.
+    resolved once per configuration before replication starts.
+    ``cv_source`` defaults to :func:`cip.default_cv_source`; its ``weight``
+    is also the OB-III variance's, and a source without one is sqrt(12).
     """
     if replications < 1:
         raise ValueError("at least one replication is required")
     _require_workers(workers)
+    source = default_cv_source() if cv_source is None else cv_source
+    weight = getattr(source, "weight", None)
     if workers > 1:
         # every block task pickles both; fail here, not inside the pool
         _require_picklable(estimator, f"estimator {estimator.tag!r}")
@@ -345,9 +334,6 @@ def coverage_experiment(
     else:
         layout = make_layout(generator.n, m, config.d)
         asym = _limit_regime(layout, config.beta_declared)
-        if cv_source is None and weight is not None:
-            cv_source = MonteCarloCriticalValues(master_seed=CRITVAL_SEED, weight=weight)
-        source = cv_source or default_cv_source()
         cv = source.critical_value(config.method, asym, 1.0 - config.alpha / 2.0)
         beta_report = asym.beta
     blocks = [

@@ -686,7 +686,8 @@ class CriticalValueEntry:
 
 @dataclass
 class CriticalValueTable:
-    """Critical values with full provenance, regenerable bit-exactly."""
+    """Critical values with full provenance, regenerable bit-exactly; as a
+    critical-value source it has the constant OB-III weight sqrt(12)."""
 
     entries: list[CriticalValueEntry] = field(default_factory=list)
 
@@ -729,6 +730,12 @@ class CriticalValueTable:
                 beta,
             )
         return best.value
+
+    def critical_value(self, method: str, asym: BatchAsymptotics, q: float) -> float:
+        """The standard normal quantile at beta = 0, else :meth:`lookup`."""
+        if asym.beta == 0:
+            return critical_value(method, asym, q)
+        return self.lookup(method, asym.beta, asym.b_inf, q)
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -783,9 +790,12 @@ def obi_asymptotic_variance(asym: BatchAsymptotics, sigma: float) -> float:
     """Reported closed form of the limiting variance of the OB-I estimator.
 
     Evaluated verbatim, including each b_inf branch and the convention that
-    the offset term vanishes when eta = 0.  Known not to agree with the
-    independently verified fully-overlapping value from
-    :func:`obi_variance_fully_overlapping`; both are exposed deliberately.
+    the offset term vanishes when eta = 0.  Two measured facts about it:
+    with infinite b_inf and full overlap (eta = 1 - beta) it equals
+    ``obi_variance_fully_overlapping(beta, sigma) + sigma**4``, a second
+    moment rather than a variance; and its finite-b_inf branch is no second
+    moment of the limit's denominator Q either: it gives 0.33 at beta = 0.5,
+    b_inf = 10, where E[Q^2] >= (E Q)^2 = 1.  Both are exposed deliberately.
     """
     b = asym.beta
     if not 0 < b < 1:

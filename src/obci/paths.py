@@ -118,16 +118,15 @@ def wiener_block(
     master_seed: int,
     stream_lo: int,
     rows: int,
-    dtype=np.float64,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Simulate ``rows`` Wiener paths, row ``r`` drawn from stream ``stream_lo + r``.
 
-    Returns an array of shape ``(rows, grid_count + 1)`` whose columns are the
-    path values on the grid with spacing ``step``; it is ``out`` when given,
-    a C-contiguous array of that shape and of type ``dtype``.
+    Returns a float64 array of shape ``(rows, grid_count + 1)`` whose columns
+    are the path values on the grid with spacing ``step``; it is ``out`` when
+    given, a C-contiguous float64 array of that shape.
     """
-    z = np.empty((rows, grid_count + 1), dtype=dtype) if out is None else out
+    z = np.empty((rows, grid_count + 1)) if out is None else out
     z[:, 0] = 0.0
     for r, gen in enumerate(stream_generators(master_seed, stream_lo, rows)):
         gen.standard_normal(grid_count, out=z[r, 1:])

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from obci import MonteCarloCriticalValues
-from obci.experiments import default_cv_source
+from obci.cip import default_cv_source
+from obci.limits import WeightFunction
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +24,15 @@ class StubCriticalValues:
 
     def critical_value(self, method, asym, q):
         return self.value
+
+
+def cos1(v):
+    """The normalized cosine weight sqrt(8) * pi * cos(2 pi v) (Goldsman,
+    Meketon & Schmeiser 1990); module level, so it pickles."""
+    return math.sqrt(8.0) * math.pi * np.cos(2.0 * math.pi * v)
+
+
+COS1 = WeightFunction(cos1, "cos1")
 
 
 @pytest.fixture

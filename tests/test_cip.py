@@ -26,20 +26,21 @@ from obci import (
 from obci import cip, functionals, limits
 from obci.cip import (
     MonteCarloCriticalValues,
-    TableCriticalValues,
     VarianceEstimate,
     assemble_interval,
 )
 from obci.limits import (
     BatchAsymptotics,
+    CriticalValueEntry,
     CriticalValueTable,
     WeightFunction,
     critical_value,
     critical_values,
+    weighting_condition_estimate,
 )
 from obci.series import BatchEstimates
 
-from conftest import StubCriticalValues
+from conftest import COS1, StubCriticalValues
 
 
 def test_classify_b_inf_rule():
@@ -77,11 +78,13 @@ def test_var_ob1_constant_series_is_zero():
 
 
 def test_var_ob2_hand_example():
-    data = TimeSeriesData(np.array([0.0, 0.0, 2.0, 2.0]))
-    lay = make_layout(4, 2, 2)
+    # d = 3 > sqrt(6): the layout's b_inf class is its b = 2, so kappa2(1/2, 2)
+    # = 1/2; batch means 0 and 2 around 1 give 2 * (m / b) / kappa = 6
+    data = TimeSeriesData(np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0]))
+    lay = make_layout(6, 3, 3)
     est = batch_estimates(data, lay, mean_estimator())
-    v = var_ob2(est, lay, 2)
-    assert v.value == pytest.approx(4.0)
+    v = var_ob2(est, lay)
+    assert v.value == pytest.approx(6.0)
     assert v.kappa_used == pytest.approx(0.5)
 
 
@@ -93,7 +96,7 @@ def test_var_ob1_matches_var_ob2_for_two_half_batches():
     data = TimeSeriesData(x)
     lay = make_layout(40, 20, 20)
     est = batch_estimates(data, lay, mean_estimator())
-    assert var_ob1(est, lay).value == pytest.approx(var_ob2(est, lay, 2).value, rel=1e-12)
+    assert var_ob1(est, lay).value == pytest.approx(var_ob2(est, lay).value, rel=1e-12)
 
 
 def test_var_ob3_single_batch_hand_value():
@@ -266,19 +269,54 @@ def test_one_sided_intervals(stub_cv):
 
 
 def test_build_interval_default_source_gets_the_weight(monkeypatch):
-    # an f-weighted OB-III variance must be paired with f-weighted critical values
+    # the source's weight reaches its draws; without a source, the shared
+    # default source draws at sqrt(12) from the one critical-value seed
     weight = WeightFunction(lambda v: math.sqrt(12.0) * np.ones_like(v), "flat-callable")
     seen = []
 
     def fake_draws(cells, replications, grid_count, master_seed, weight, workers):
-        seen.append(weight)
+        seen.append((master_seed, weight))
         return {cell: np.linspace(-3.0, 3.0, 10_001) for cell in cells}
 
     monkeypatch.setattr(cip, "studentized_draws", fake_draws)
+    monkeypatch.setattr(cip, "_default_source", MonteCarloCriticalValues())
     data = TimeSeriesData(np.random.default_rng(15).standard_normal(200))
-    result = build_interval("ob3", data, 50, 10, 0.05, mean_estimator(), weight=weight)
-    assert seen == [weight]
-    assert result.critical_value_used == pytest.approx(2.85, abs=1e-3)
+    source = MonteCarloCriticalValues(weight=weight)
+    weighted = build_interval("ob3", data, 50, 10, 0.05, mean_estimator(), source)
+    default = build_interval("ob3", data, 50, 10, 0.05, mean_estimator())
+    assert seen == [(cip.CRITVAL_SEED, weight), (cip.CRITVAL_SEED, None)]
+    assert weighted.critical_value_used == default.critical_value_used
+    assert default.critical_value_used == pytest.approx(2.85, abs=1e-3)
+
+
+def test_cos_weight_meets_the_weighting_condition():
+    assert weighting_condition_estimate(COS1) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_build_interval_pairs_the_source_weight_with_the_variance():
+    data = TimeSeriesData(np.random.default_rng(24).standard_normal(2000))
+    layout = make_layout(2000, 1000, 100)
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=64, weight=COS1)
+    result = build_interval("ob3", data, 1000, 100, 0.05, mean_estimator(), source)
+    cos_var = var_ob3(data, layout, mean_estimator(), COS1).value
+    flat_var = var_ob3(data, layout, mean_estimator()).value
+    assert result.sigma_hat == math.sqrt(cos_var)
+    assert abs(cos_var - flat_var) > 0.01 * flat_var  # the two weights are told apart
+    asym = BatchAsymptotics(0.5, 11.0)
+    assert result.critical_value_used == source.critical_value("ob3", asym, 0.975)
+
+
+def test_table_source_has_the_sqrt12_weight(monkeypatch):
+    data = TimeSeriesData(np.random.default_rng(25).standard_normal(1000))
+    layout = make_layout(1000, 250, 1)
+    table = CriticalValueTable([CriticalValueEntry("ob3", 0.25, INFINITE, 0.975, 2.5, 10_000, 64, 1)])
+    result = build_interval("ob3", data, 250, 1, 0.05, mean_estimator(), table)
+    assert result.critical_value_used == 2.5
+    assert result.sigma_hat == math.sqrt(var_ob3(data, layout, mean_estimator()).value)
+    # beta = 0 is the normal quantile, drawn from nothing
+    monkeypatch.setattr(limits, "draw_limit_samples", None)
+    small = build_interval("ob3", data, 250, 1, 0.05, mean_estimator(), table, beta_declared=0.0)
+    assert small.critical_value_used == stats.norm.ppf(0.975)
 
 
 def test_build_interval_checks_beta_declared_before_estimates(monkeypatch, stub_cv):
@@ -334,7 +372,7 @@ def test_every_critical_value_source_draws_through_one_chain(monkeypatch):
     assert source.critical_value(*ob1, q) == both[ob1][0] == one
     assert calls == [[ob1], [ob1, ob2], [ob1]]
     # beta = 0 takes the normal quantile from the same chain, with no draw
-    table = TableCriticalValues(CriticalValueTable())
+    table = CriticalValueTable()
     assert table.critical_value("ob1", BatchAsymptotics(0.0), q) == stats.norm.ppf(q)
     assert len(calls) == 3
 

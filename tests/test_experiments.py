@@ -20,13 +20,14 @@ from obci import (
     study_setup,
 )
 from obci import cip, experiments
-from obci.cip import build_interval
+from obci.cip import MonteCarloCriticalValues, build_interval
 from obci.errors import DegenerateEstimateError, DegenerateIntervalError
 from obci.experiments import _poisson_counts
 from obci.functionals import _WindowSum
 from obci.limits import WeightFunction
+from obci.series import make_layout
 
-from conftest import StubCriticalValues
+from conftest import COS1, StubCriticalValues
 
 
 def test_iid_normal_moments():
@@ -214,7 +215,9 @@ class _NoPool:
 @pytest.mark.parametrize("bad", ["weight", "estimator"])
 def test_coverage_rejects_unpicklable_arguments_before_any_pool(monkeypatch, bad):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(cip, "studentized_draws", None)  # and before any draw
     weight = WeightFunction(lambda v: 1.0 + v, "linear") if bad == "weight" else None
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=32, weight=weight)
     estimator = (
         _WindowSum(tag="closure-mean", min_window=1, num=lambda x: x)
         if bad == "estimator" else mean_estimator()
@@ -223,7 +226,7 @@ def test_coverage_rejects_unpicklable_arguments_before_any_pool(monkeypatch, bad
     with pytest.raises(ValueError, match=f"{bad} '{tag}'.*module level"):
         coverage_experiment(
             GeneratorSpec.iid_normal(200), 0.0, estimator, MethodConfig("ob3", m=50, d=10),
-            600, 5, weight=weight, workers=2,
+            600, 5, cv_source=source, workers=2,
         )
 
 
@@ -343,18 +346,50 @@ def test_subsampling_method_in_harness():
 
 
 def test_coverage_default_source_gets_the_weight(monkeypatch):
-    # an f-weighted OB-III variance must be paired with f-weighted critical values
+    # the source's weight reaches its draws; without a source, the shared
+    # default source draws at sqrt(12) from the one critical-value seed
     weight = WeightFunction(lambda v: math.sqrt(12.0) * np.ones_like(v), "flat-callable")
     seen = []
 
     def fake_draws(cells, replications, grid_count, master_seed, weight, workers):
-        seen.append(weight)
+        seen.append((master_seed, weight))
         return {cell: np.linspace(-3.0, 3.0, 10_001) for cell in cells}
 
     monkeypatch.setattr(cip, "studentized_draws", fake_draws)
-    report = coverage_experiment(
-        GeneratorSpec.iid_normal(200), 0.0, mean_estimator(), MethodConfig("ob3", m=50, d=10),
-        replications=4, master_seed=15, weight=weight,
+    monkeypatch.setattr(cip, "_default_source", MonteCarloCriticalValues())
+    spec, config = GeneratorSpec.iid_normal(200), MethodConfig("ob3", m=50, d=10)
+    weighted = coverage_experiment(
+        spec, 0.0, mean_estimator(), config, replications=4, master_seed=15,
+        cv_source=MonteCarloCriticalValues(weight=weight),
     )
-    assert seen == [weight]
-    assert report.critical_value_used == pytest.approx(2.85, abs=1e-3)
+    default = coverage_experiment(spec, 0.0, mean_estimator(), config, 4, 15)
+    assert seen == [(cip.CRITVAL_SEED, weight), (cip.CRITVAL_SEED, None)]
+    assert weighted.critical_value_used == default.critical_value_used
+    assert default.critical_value_used == pytest.approx(2.85, abs=1e-3)
+
+
+def _half_width(spec, seed, m, d, weight, cv):
+    """Half-width of replication 0's OB-III interval with this weight's variance."""
+    data = generate(spec, SeedSpec(seed, 0))
+    variance = cip.var_ob3(data, make_layout(spec.n, m, d), mean_estimator(), weight)
+    return cv * math.sqrt(variance.value) / math.sqrt(spec.n)
+
+
+def test_coverage_pairs_the_source_weight_with_the_variance():
+    spec = GeneratorSpec.iid_normal(2000)
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=64, weight=COS1)
+    config = MethodConfig("ob3", m=1000, d=100)
+    report = coverage_experiment(spec, 0.0, mean_estimator(), config, 1, 26, cv_source=source)
+    cv = report.critical_value_used
+    assert report.mean_half_width == pytest.approx(_half_width(spec, 26, 1000, 100, COS1, cv), rel=1e-12)
+    assert report.mean_half_width != pytest.approx(_half_width(spec, 26, 1000, 100, None, cv), rel=1e-3)
+
+
+def test_offset_sweep_pairs_the_source_weight_with_the_variance():
+    spec = GeneratorSpec.iid_normal(2000)
+    source = MonteCarloCriticalValues(replications=10_000, grid_count=64, weight=COS1)
+    config = MethodConfig("ob3", m=1000)
+    reports = offset_sweep(spec, 0.0, mean_estimator(), config, [100, 500], 1, 27, cv_source=source)
+    for report, d in zip(reports, [100, 500]):
+        expected = _half_width(spec, 27, 1000, d, COS1, report.critical_value_used)
+        assert report.mean_half_width == pytest.approx(expected, rel=1e-12)

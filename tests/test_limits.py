@@ -399,6 +399,15 @@ def test_reported_variance_formula_value_and_scaling():
     assert obi_asymptotic_variance(asym, 2.0) == pytest.approx(16 * 5 / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.25, 0.4, 0.5])
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_reported_variance_is_fully_overlapping_variance_plus_sigma4(beta, sigma):
+    # at full overlap the reported form is a second moment: Var + (E)^2
+    asym = BatchAsymptotics(beta=beta, b_inf=INFINITE, eta=1 - beta)
+    expected = obi_variance_fully_overlapping(beta, sigma) + sigma**4
+    assert obi_asymptotic_variance(asym, sigma) == pytest.approx(expected, rel=1e-12)
+
+
 def test_reported_variance_formula_scan_structure():
     def v(beta):
         return obi_asymptotic_variance(
